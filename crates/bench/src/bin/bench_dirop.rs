@@ -58,7 +58,7 @@ struct ModeRun {
 /// bottom-up frontier gather rides bitmap frames where dense.
 fn mode_run(graph: &DistGraph, config: &BfsConfig, name: &'static str, source: u64) -> ModeRun {
     let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
-    let r = bfs2d::run(graph, &mut world, config, source);
+    let r = bfs2d::try_run(graph, &mut world, config, source).unwrap();
     let (_, bu) = r.stats.direction_split();
     ModeRun {
         name,

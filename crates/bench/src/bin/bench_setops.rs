@@ -67,7 +67,7 @@ fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> f64 {
     for _ in 0..reps {
         let mut world = SimWorld::bluegene(graph.grid());
         let start = Instant::now();
-        let r = bfs2d::run(graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(graph, &mut world, &config, 0).unwrap();
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(r.stats.sim_time);
     }

@@ -49,7 +49,7 @@ const SPEEDUP_MIN_CORES: usize = 4;
 /// codec_time).
 fn coded_run(graph: &DistGraph, mode: WireMode) -> (u64, u64, f64, f64) {
     let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::with_mode(mode));
-    let r = bfs2d::run(graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let r = bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
     (
         r.stats.comm.total_logical_bytes(),
         r.stats.comm.total_wire_bytes(),
@@ -66,7 +66,7 @@ fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> f64 {
     for _ in 0..reps {
         let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
         let start = Instant::now();
-        let r = bfs2d::run(graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(graph, &mut world, &config, 0).unwrap();
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(r.stats.sim_time);
     }

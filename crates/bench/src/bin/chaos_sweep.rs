@@ -119,7 +119,7 @@ fn main() {
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid);
     let config = BfsConfig::paper_optimized();
-    let baseline = bfs2d::run(&graph, &mut world, &config, source);
+    let baseline = bfs2d::try_run(&graph, &mut world, &config, source).unwrap();
     println!(
         "chaos sweep: n = {n}, k = {k}, {}x{} grid, parity groups of {group} — \
          fault-free reference: {} levels, {:.3} ms simulated",

@@ -85,7 +85,8 @@ fn main() {
                 &mut world,
                 &BfsConfig::paper_optimized(),
                 &exp::sources(n, n_sources),
-            );
+            )
+            .expect("fault-free world cannot fail");
             if idx == 0 {
                 comm_cell = fmt_secs(m.comm);
                 k10_times.push((p as f64, m.exec));

@@ -45,7 +45,7 @@ fn main() {
     let grid = ProcessorGrid::square_ish(p);
     let spec = GraphSpec::poisson(n, k, seed);
     let (graph, mut world) = exp::build(spec, grid);
-    let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+    let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source).unwrap();
 
     let predicted = theory::expected_frontiers(n as f64, k);
     let mut table = Table::new(

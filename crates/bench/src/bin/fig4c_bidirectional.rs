@@ -77,7 +77,7 @@ fn main() {
         let mut uni_recv = 0u64;
         for &(s, t) in &pairs {
             world.reset();
-            let r = bfs2d::run(&graph, &mut world, &config.clone().with_target(t), s);
+            let r = bfs2d::try_run(&graph, &mut world, &config.with_target(t), s).unwrap();
             uni_time += r.stats.sim_time;
             uni_recv += r.stats.total_received();
         }
@@ -85,7 +85,7 @@ fn main() {
         let mut bidi_recv = 0u64;
         for &(s, t) in &pairs {
             world.reset();
-            let r = bidir::run(&graph, &mut world, &config, s, t);
+            let r = bidir::try_run(&graph, &mut world, &config, s, t).unwrap();
             bidi_time += r.stats.sim_time;
             bidi_recv += r.stats.total_received();
         }

@@ -63,7 +63,8 @@ fn main() {
             &mut world,
             &BfsConfig::paper_optimized(),
             &exp::sources(n, n_sources),
-        );
+        )
+        .expect("fault-free world cannot fail");
         base.push(m.exec);
     }
 
@@ -78,7 +79,8 @@ fn main() {
                 &mut world,
                 &BfsConfig::paper_optimized(),
                 &exp::sources(n, n_sources),
-            );
+            )
+            .expect("fault-free world cannot fail");
             cells.push(format!("{:.1}", base[i] / m.exec));
             cells.push(format!("{:.2}ms", m.exec * 1e3));
         }

@@ -45,7 +45,7 @@ fn volumes(n: u64, k: f64, grid: ProcessorGrid, seed: u64) -> Vec<u64> {
     // Direct all-to-all fold: the figure compares the volume *induced by
     // the partitioning*, matching the §3.1 analytic model, so ring
     // forwarding must not inflate the counts.
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1);
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1).unwrap();
     r.stats
         .levels
         .iter()

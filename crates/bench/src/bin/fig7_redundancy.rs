@@ -67,7 +67,7 @@ fn main() {
             let n = per_rank * p;
             let spec = GraphSpec::poisson(n, k.min(n as f64 - 1.0), seed + i as u64);
             let (graph, mut world) = exp::build(spec, grid);
-            let r = bfs2d::run(&graph, &mut world, &config, 1);
+            let r = bfs2d::try_run(&graph, &mut world, &config, 1).unwrap();
             let ratio = r.stats.redundancy_ratio_percent();
             per_series[i].push(ratio);
             cells.push(format!("{ratio:.1}"));

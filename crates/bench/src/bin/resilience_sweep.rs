@@ -68,7 +68,7 @@ fn main() {
     let spec = GraphSpec::poisson(n, k, seed);
     let (graph, mut world) = exp::build(spec, grid);
     let config = BfsConfig::paper_optimized();
-    let baseline = bfs2d::run(&graph, &mut world, &config, source);
+    let baseline = bfs2d::try_run(&graph, &mut world, &config, source).unwrap();
     println!(
         "baseline: n = {n}, k = {k}, {}x{} grid — {:.3} ms simulated, {} levels\n",
         grid.rows(),

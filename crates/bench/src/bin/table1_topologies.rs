@@ -92,7 +92,8 @@ fn main() {
             let srcs = exp::sources(n, n_sources);
             for &s in &srcs {
                 world.reset();
-                let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), s);
+                let r =
+                    bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), s).unwrap();
                 exec += r.stats.sim_time;
                 comm += r.stats.comm_time;
                 expand_comm += world.comm_time_for(bgl_comm::OpClass::Expand);

@@ -6,13 +6,15 @@
 //! simulator against a real parallel execution and to power examples
 //! that want actual parallelism; no cost model applies.
 //!
-//! [`run_threaded_with_faults`] drives the same loop under a
-//! [`FaultPlan`]: lossy exchanges retransmit (counted per rank in
-//! [`FaultStats`]), and a scheduled rank death aborts every rank at the
-//! same superstep with a typed [`CommError`]. Because both runtimes
-//! derive faults from the same pure hash of `(seed, class, round, from,
-//! to)`, a run here injects the *same* fault schedule as the simulator —
-//! the cross-runtime determinism the fault tests assert.
+//! [`run_threaded`] is the one entry point; a [`ThreadedConfig`]
+//! selects the sent-neighbors cache, a [`FaultPlan`], a wire codec,
+//! tracing and the direction policy. Under a fault plan, lossy
+//! exchanges retransmit (counted per rank in [`FaultStats`]), and a
+//! scheduled rank death aborts every rank at the same superstep with a
+//! typed [`CommError`]. Because both runtimes derive faults from the
+//! same pure hash of `(seed, class, round, from, to)`, a run here
+//! injects the *same* fault schedule as the simulator — the
+//! cross-runtime determinism the fault tests assert.
 
 use crate::config::{DirectionMode, DirectionPolicy};
 use crate::reference::UNREACHED;
@@ -24,7 +26,7 @@ use bgl_comm::{
     WirePolicy,
 };
 use bgl_graph::{DistGraph, Vertex};
-use bgl_trace::{TraceBuffer, TraceDetail, DEFAULT_RING_CAPACITY};
+use bgl_trace::{TraceBuffer, TraceDetail};
 
 /// What one rank of a faulty threaded run produced.
 #[derive(Debug, Clone)]
@@ -51,148 +53,77 @@ pub struct RankOutcome {
     pub trace: Option<TraceBuffer>,
 }
 
-/// A traced threaded run: the global level labels plus one merged trace
-/// buffer (every rank's recorder assembled onto its own track).
+/// Options of a threaded run. The default is a fault-free, top-down,
+/// raw-wire, untraced run with the sent-neighbors cache on.
 #[derive(Debug, Clone)]
-pub struct TracedThreadedRun {
-    /// Global level labels, as [`run_threaded`] returns.
-    pub levels: Vec<u32>,
-    /// The merged trace: rank `r`'s events on track `r`.
-    pub buffer: TraceBuffer,
+pub struct ThreadedConfig {
+    /// Use the sent-neighbors cache (§2.4).
+    pub sent_neighbors: bool,
+    /// Faults to inject. A lossy exchange retransmits; a rank death
+    /// aborts every rank with [`CommError::RankDead`].
+    pub faults: FaultPlan,
+    /// Wire codec for expand/fold payloads: the same frames the
+    /// simulator charges to its cost model. Retransmissions carry the
+    /// same encoded frames.
+    pub wire: WirePolicy,
+    /// Per-rank trace recording, returned in [`RankOutcome::trace`]:
+    /// wall-clock spans for the same collective phases the simulator
+    /// traces, so the two runtimes compare span set against span set.
+    pub trace: Option<TraceDetail>,
+    /// Per-level direction choice, from the same allreduce and integer
+    /// thresholds as the simulator. Bottom-up levels replace the
+    /// targeted expand with a neighbour-only frontier ring over the
+    /// processor column, with the simulator's empty-pieces-are-not-sent
+    /// convention so fault schedules stay aligned across runtimes.
+    pub direction: DirectionPolicy,
 }
 
-/// Run a BFS from `source` using one thread per rank. Returns the global
-/// level array.
-pub fn run_threaded(graph: &DistGraph, source: Vertex, use_sent: bool) -> Vec<u32> {
-    let per_rank = run_threaded_with_faults(graph, source, use_sent, FaultPlan::none());
-    let mut levels = vec![UNREACHED; graph.spec.n as usize];
-    for out in per_rank {
-        // bgl-lint: allow(r1, reason = "FaultPlan::none() means no rank can die or time out, so every per-rank result is Ok")
-        let out = out.expect("fault-free threaded run cannot fail");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-    }
-    levels
-}
-
-/// [`run_threaded`] with per-rank tracing enabled (fault-free). Each
-/// rank records wall-clock spans for the same collective phases the
-/// simulator traces — termination, expand, discover, fold, absorb and
-/// the whole level — so the two runtimes' traces are comparable span
-/// set against span set.
-pub fn run_threaded_traced(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    detail: TraceDetail,
-) -> TracedThreadedRun {
-    let per_rank = run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        FaultPlan::none(),
-        WirePolicy::raw(),
-        Some(detail),
-        DirectionPolicy::top_down(),
-    );
-    let p = graph.grid().len();
-    let mut buffer = TraceBuffer::new(p, DEFAULT_RING_CAPACITY);
-    let mut levels = vec![UNREACHED; graph.spec.n as usize];
-    for (rank, out) in per_rank.into_iter().enumerate() {
-        // bgl-lint: allow(r1, reason = "FaultPlan::none() means no rank can die or time out, so every per-rank result is Ok")
-        let out = out.expect("fault-free threaded run cannot fail");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-        if let Some(buf) = &out.trace {
-            buffer.absorb_rank(rank, buf);
+impl Default for ThreadedConfig {
+    fn default() -> Self {
+        Self {
+            sent_neighbors: true,
+            faults: FaultPlan::none(),
+            wire: WirePolicy::raw(),
+            trace: None,
+            direction: DirectionPolicy::top_down(),
         }
     }
-    TracedThreadedRun { levels, buffer }
 }
 
-/// [`run_threaded`] under a deterministic [`FaultPlan`]. Each rank
-/// reports its own outcome: the labels it computed plus its fault
-/// counters, or the typed error that aborted it.
-pub fn run_threaded_with_faults(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        plan,
-        WirePolicy::raw(),
-        None,
-        DirectionPolicy::top_down(),
-    )
+/// Assemble the global level array from every rank's outcome, or
+/// return the first rank's error.
+pub fn assemble_levels(
+    n: u64,
+    outcomes: &[Result<RankOutcome, CommError>],
+) -> Result<Vec<u32>, CommError> {
+    let mut levels = vec![UNREACHED; n as usize];
+    for out in outcomes {
+        let out = out.as_ref().map_err(|e| *e)?;
+        let s = out.owned_start as usize;
+        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
+    }
+    Ok(levels)
 }
 
-/// [`run_threaded_with_faults`] with a wire-codec policy: every rank
-/// encodes its expand/fold payloads to the same adaptive wire frames
-/// the simulator charges to its cost model, and reports its sender-side
-/// logical/wire byte counters in the [`RankOutcome`]. Composes with
-/// fault plans — retransmitted messages carry the same encoded frames.
-pub fn run_threaded_with_wire(
+/// Run a BFS from `source` using one thread per rank. Each rank reports
+/// its own outcome: the labels it computed plus its counters, or the
+/// typed error that aborted it.
+pub fn run_threaded(
     graph: &DistGraph,
     source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        plan,
-        wire,
-        None,
-        DirectionPolicy::top_down(),
-    )
-}
-
-/// [`run_threaded_with_wire`] plus a [`DirectionPolicy`]: levels pick
-/// top-down or bottom-up from the same 3-word allreduce and integer
-/// thresholds as the simulator, so the per-level direction vector (and
-/// the level labels) must match the simulator's bit for bit. Bottom-up
-/// levels replace the targeted expand with a neighbour-only frontier
-/// ring over the processor column — the threaded mirror of
-/// `bgl_comm::collectives::frontier`, with the same
-/// empty-pieces-are-not-sent convention so fault schedules stay
-/// aligned across runtimes.
-pub fn run_threaded_direction(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-    direction: DirectionPolicy,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(graph, source, use_sent, plan, wire, None, direction)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_threaded_inner(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-    trace: Option<TraceDetail>,
-    direction: DirectionPolicy,
+    config: &ThreadedConfig,
 ) -> Vec<Result<RankOutcome, CommError>> {
     let grid = graph.grid();
     assert!(source < graph.spec.n);
 
-    ThreadedWorld::run_with(grid, plan, |ctx| -> Result<RankOutcome, CommError> {
+    let direction = config.direction;
+    ThreadedWorld::run_with(grid, config.faults.clone(), |ctx| {
         let rank = ctx.rank();
-        ctx.set_wire_policy(wire);
-        if let Some(detail) = trace {
+        ctx.set_wire_policy(config.wire);
+        if let Some(detail) = config.trace {
             ctx.enable_trace(detail);
         }
-        let mut st = RankState::new(&graph.ranks[rank], graph.partition, use_sent);
+        let mut st = RankState::new(&graph.ranks[rank], graph.partition, config.sent_neighbors);
         st.init_source(source);
         let mut directions: Vec<LevelDirection> = Vec::new();
 
@@ -309,6 +240,10 @@ mod tests {
     use bgl_comm::{ProcessorGrid, SimWorld};
     use bgl_graph::GraphSpec;
 
+    fn levels_of(graph: &DistGraph, source: Vertex, config: &ThreadedConfig) -> Vec<u32> {
+        assemble_levels(graph.spec.n, &run_threaded(graph, source, config)).unwrap()
+    }
+
     #[test]
     fn threaded_matches_oracle() {
         let spec = GraphSpec::poisson(300, 6.0, 61);
@@ -316,7 +251,7 @@ mod tests {
         let expect = reference::bfs_levels(&adj, 0);
         for (r, c) in [(1, 1), (2, 2), (2, 3), (4, 2)] {
             let graph = DistGraph::build(spec, ProcessorGrid::new(r, c));
-            let got = run_threaded(&graph, 0, true);
+            let got = levels_of(&graph, 0, &ThreadedConfig::default());
             assert_eq!(got, expect, "grid {r}x{c}");
         }
     }
@@ -328,9 +263,10 @@ mod tests {
         let spec = GraphSpec::poisson(500, 5.0, 71);
         let grid = ProcessorGrid::new(3, 3);
         let graph = DistGraph::build(spec, grid);
-        let threaded = run_threaded(&graph, 7, true);
+        let threaded = levels_of(&graph, 7, &ThreadedConfig::default());
         let mut world = SimWorld::bluegene(grid);
-        let sim = crate::bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7);
+        let sim =
+            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7).unwrap();
         assert_eq!(threaded, sim.levels);
     }
 
@@ -340,7 +276,7 @@ mod tests {
         // the per-rank pool instead of allocating fresh ones each round.
         let spec = GraphSpec::poisson(400, 6.0, 51);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        let outs = run_threaded_with_faults(&graph, 0, true, FaultPlan::none());
+        let outs = run_threaded(&graph, 0, &ThreadedConfig::default());
         let total: u64 = outs
             .into_iter()
             .map(|o| o.expect("fault-free").scratch_reuses)
@@ -354,7 +290,11 @@ mod tests {
         let adj = bgl_graph::dist::adjacency(&spec);
         let expect = reference::bfs_levels(&adj, 3);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        assert_eq!(run_threaded(&graph, 3, false), expect);
+        let config = ThreadedConfig {
+            sent_neighbors: false,
+            ..ThreadedConfig::default()
+        };
+        assert_eq!(levels_of(&graph, 3, &config), expect);
     }
 
     #[test]
@@ -373,17 +313,15 @@ mod tests {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        let outs = run_threaded_with_faults(&graph, 0, true, plan.clone());
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
+        let config = ThreadedConfig {
+            faults: plan.clone(),
+            ..ThreadedConfig::default()
+        };
+        let outs = run_threaded(&graph, 0, &config);
+        let levels = assemble_levels(graph.spec.n, &outs).expect("message faults are transparent");
         let mut total = FaultStats::default();
-        for out in outs {
-            let out = out.expect("message faults are transparent");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-            total.drops_injected += out.faults.drops_injected;
-            total.truncations_injected += out.faults.truncations_injected;
-            total.duplicates_injected += out.faults.duplicates_injected;
-            total.retransmissions += out.faults.retransmissions;
+        for out in outs.iter().flatten() {
+            total.merge(&out.faults);
         }
         assert_eq!(levels, expect);
         assert!(total.retransmissions > 0);
@@ -392,11 +330,7 @@ mod tests {
         let sim =
             crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
         assert_eq!(sim.levels, expect);
-        let sf = &sim.stats.comm.faults;
-        assert_eq!(total.drops_injected, sf.drops_injected);
-        assert_eq!(total.truncations_injected, sf.truncations_injected);
-        assert_eq!(total.duplicates_injected, sf.duplicates_injected);
-        assert_eq!(total.retransmissions, sf.retransmissions);
+        assert_eq!(total, sim.stats.comm.faults);
     }
 
     #[test]
@@ -412,14 +346,15 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
 
-        let outs = run_threaded_with_wire(&graph, 0, true, FaultPlan::none(), WirePolicy::auto());
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
+        let config = ThreadedConfig {
+            wire: WirePolicy::auto(),
+            ..ThreadedConfig::default()
+        };
+        let outs = run_threaded(&graph, 0, &config);
+        let levels = assemble_levels(graph.spec.n, &outs).expect("fault-free");
         let mut expand = WireCount::default();
         let mut fold = WireCount::default();
-        for out in outs {
-            let out = out.expect("fault-free");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
+        for out in outs.iter().flatten() {
             expand.logical_bytes += out.expand_wire.logical_bytes;
             expand.wire_bytes += out.expand_wire.wire_bytes;
             fold.logical_bytes += out.fold_wire.logical_bytes;
@@ -428,7 +363,8 @@ mod tests {
         assert_eq!(levels, expect);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let sim = crate::bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0);
+        let sim =
+            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
         assert_eq!(sim.levels, expect);
         let se = sim.stats.comm.class(OpClass::Expand);
         let sf = sim.stats.comm.class(OpClass::Fold);
@@ -452,32 +388,26 @@ mod tests {
         let grid = ProcessorGrid::new(3, 2);
         let graph = DistGraph::build(spec, grid);
         let config = BfsConfig {
-            direction: crate::config::DirectionPolicy::adaptive(),
+            direction: DirectionPolicy::adaptive(),
             ..BfsConfig::baseline_alltoall()
         };
         let mut world = SimWorld::bluegene(grid);
-        let sim = crate::bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = crate::bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         let sim_dirs: Vec<LevelDirection> = sim.stats.levels.iter().map(|l| l.direction).collect();
         assert!(
             sim_dirs.contains(&LevelDirection::BottomUp),
             "expected at least one bottom-up level"
         );
 
-        let outs = run_threaded_direction(
-            &graph,
-            0,
-            true,
-            FaultPlan::none(),
-            WirePolicy::raw(),
-            config.direction,
-        );
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
-        for out in outs {
-            let out = out.expect("fault-free");
+        let threaded = ThreadedConfig {
+            direction: config.direction,
+            ..ThreadedConfig::default()
+        };
+        let outs = run_threaded(&graph, 0, &threaded);
+        for out in outs.iter().flatten() {
             assert_eq!(out.directions, sim_dirs, "per-level direction vector");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
         }
+        let levels = assemble_levels(graph.spec.n, &outs).expect("fault-free");
         assert_eq!(levels, sim.levels);
     }
 
@@ -486,8 +416,11 @@ mod tests {
         let spec = GraphSpec::poisson(200, 5.0, 21);
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
-        let plan = FaultPlan::seeded(9).kill_rank_at(2, 3);
-        let outs = run_threaded_with_faults(&graph, 0, true, plan);
+        let config = ThreadedConfig {
+            faults: FaultPlan::seeded(9).kill_rank_at(2, 3),
+            ..ThreadedConfig::default()
+        };
+        let outs = run_threaded(&graph, 0, &config);
         assert_eq!(outs.len(), 4);
         for out in outs {
             assert_eq!(out.unwrap_err(), CommError::RankDead { rank: 2 });

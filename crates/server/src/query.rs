@@ -118,7 +118,7 @@ pub struct Response {
     pub sim_service_time: f64,
 }
 
-/// Why a submission was refused (backpressure).
+/// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The bounded admission queue is at capacity; retry after the
@@ -127,6 +127,13 @@ pub enum AdmissionError {
         /// The configured capacity that was hit.
         capacity: usize,
     },
+    /// The query names a vertex the resident graph does not have.
+    VertexOutOfRange {
+        /// The offending source or target.
+        vertex: Vertex,
+        /// The graph's vertex count.
+        n: u64,
+    },
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -134,6 +141,9 @@ impl std::fmt::Display for AdmissionError {
         match self {
             AdmissionError::QueueFull { capacity } => {
                 write!(f, "admission queue full (capacity {capacity})")
+            }
+            AdmissionError::VertexOutOfRange { vertex, n } => {
+                write!(f, "vertex {vertex} out of range (graph has {n} vertices)")
             }
         }
     }

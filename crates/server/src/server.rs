@@ -33,10 +33,10 @@
 //! response bytes at the source's owner rank. `Path` hits (and `Path`
 //! queries answered by a fresh batch lane) are grouped by source and
 //! served by the distributed lane-masked batched walk
-//! ([`bfs_core::path::multi`]): up to 64 targets against one level
+//! ([`bfs_core::path::try_multi`]): up to 64 targets against one level
 //! array share each of the three per-hop control rounds, charged to the
 //! α–β–hop model and bracketed by `Phase::PathWalk` spans — and every
-//! lane is byte-identical to a standalone `extract_path`.
+//! lane is byte-identical to a standalone `try_extract_path`.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::query::{AdmissionError, Outcome, QueryId, QueryKind, Request, Response, ServedBy};
@@ -164,12 +164,23 @@ impl BglServer {
         self.queue.len()
     }
 
-    /// Admit a query; `Err` is backpressure (queue full).
+    /// Admit a query. `Err` is backpressure (queue full) or a source or
+    /// target the graph does not have.
     pub fn submit(&mut self, kind: QueryKind) -> Result<QueryId, AdmissionError> {
-        match self
-            .queue
-            .submit(kind, self.tick, self.config.deadline_ticks)
-        {
+        let n = self.graph.spec.n;
+        let vertex = match kind {
+            QueryKind::FullTraversal { source } => source,
+            QueryKind::Distance { source, target } | QueryKind::Path { source, target } => {
+                source.max(target)
+            }
+        };
+        let admitted = if vertex >= n {
+            Err(AdmissionError::VertexOutOfRange { vertex, n })
+        } else {
+            self.queue
+                .submit(kind, self.tick, self.config.deadline_ticks)
+        };
+        match admitted {
             Ok(id) => {
                 self.stats.submitted += 1;
                 Ok(id)
@@ -264,7 +275,9 @@ impl BglServer {
         // -- one lane-masked wave advances every query in the batch.
         let sources: Vec<Vertex> = lanes.iter().map(|(s, _)| *s).collect();
         let t0 = self.world.time();
-        let result = multi::run(&self.graph, &mut self.world, &self.config.multi, &sources);
+        let result = multi::try_run(&self.graph, &mut self.world, &self.config.multi, &sources)
+            // bgl-lint: allow(r1, reason = "only a world with a fault plan can fail a wave; the server has no fail-soft path yet")
+            .expect("batch wave failed under a fault plan");
         let t1 = self.world.time();
         let batch = self.batch_seq;
         self.batch_seq += 1;
@@ -386,7 +399,16 @@ impl BglServer {
                     _ => unreachable!("walk groups hold only path queries"),
                 })
                 .collect();
-            let result = path::multi(&self.graph, &mut self.world, levels, source, &targets);
+            let result = path::try_multi(
+                &self.graph,
+                &mut self.world,
+                levels,
+                source,
+                &targets,
+                &path::MultiPathConfig::default(),
+            )
+            // bgl-lint: allow(r1, reason = "only a world with a fault plan can fail a walk; the server has no fail-soft path yet")
+            .expect("batched path walk failed under a fault plan");
             self.stats.path_walks += 1;
             self.stats.path_walk_lanes += targets.len() as u64;
             self.stats.path_walk_hops += u64::from(result.hops);
@@ -656,12 +678,13 @@ mod tests {
                 panic!("expected levels");
             };
             let mut w = SimWorld::bluegene(graph.grid());
-            let single = bfs2d::run(
+            let single = bfs2d::try_run(
                 &graph,
                 &mut w,
                 &BfsConfig::paper_optimized(),
                 r.kind.source(),
-            );
+            )
+            .unwrap();
             assert_eq!(**levels, single.levels, "source {}", r.kind.source());
         }
     }
@@ -797,6 +820,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_vertices_are_rejected_at_admission() {
+        let mut srv = server(ServerConfig::default());
+        let n = srv.graph().spec.n;
+        for kind in [
+            QueryKind::FullTraversal { source: n },
+            QueryKind::Distance {
+                source: 0,
+                target: n,
+            },
+            QueryKind::Path {
+                source: n,
+                target: 0,
+            },
+        ] {
+            let want = Err(AdmissionError::VertexOutOfRange { vertex: n, n });
+            assert_eq!(srv.submit(kind), want);
+        }
+        assert_eq!((srv.stats().rejected, srv.stats().submitted), (3, 0));
+        assert!(srv.pump().is_empty());
+        srv.submit(QueryKind::FullTraversal { source: n - 1 })
+            .unwrap();
+        assert_eq!(srv.run_to_completion().len(), 1);
+    }
+
+    #[test]
     fn path_misses_share_one_batched_walk_wave() {
         let mut srv = server(ServerConfig {
             cache_capacity: 0,
@@ -827,13 +875,14 @@ mod tests {
         // Each batched-walk path is byte-identical to a standalone
         // extraction over the same levels.
         let (graph, mut w) = build(2_000, 5);
-        let single = bfs2d::run(&graph, &mut w, &BfsConfig::paper_optimized(), s);
+        let single = bfs2d::try_run(&graph, &mut w, &BfsConfig::paper_optimized(), s).unwrap();
         for r in &rs {
             let QueryKind::Path { target, .. } = r.kind else {
                 panic!("expected path kind");
             };
             let mut pw = SimWorld::bluegene(graph.grid());
-            let want = bfs_core::path::extract_path(&graph, &mut pw, &single.levels, s, target);
+            let want = bfs_core::path::try_extract_path(&graph, &mut pw, &single.levels, s, target)
+                .unwrap();
             assert_eq!(r.outcome, Outcome::Path(want), "target {target}");
         }
     }

@@ -7,7 +7,8 @@
 pub struct ServerStats {
     /// Queries admitted to the queue.
     pub submitted: u64,
-    /// Submissions refused with backpressure.
+    /// Submissions refused at admission (backpressure or an
+    /// out-of-range vertex).
     pub rejected: u64,
     /// Queries answered by a batched engine wave.
     pub served_engine: u64,

@@ -92,31 +92,6 @@ impl CostModel {
         self.point_to_point_hops(self.hops(from, to), bytes)
     }
 
-    /// Cost of one point-to-point message whose route runs at
-    /// `bw_factor` of nominal link bandwidth (degraded-link faults; the
-    /// slowest link on the route bounds the streaming rate).
-    pub fn point_to_point_hops_degraded(
-        &self,
-        hops: usize,
-        bytes: u64,
-        bw_factor: f64,
-    ) -> TransferCost {
-        debug_assert!(bw_factor > 0.0 && bw_factor <= 1.0);
-        let m = &self.machine;
-        let seconds = if hops == 0 && bytes == 0 {
-            0.0
-        } else {
-            m.software_overhead
-                + hops as f64 * m.hop_latency
-                + bytes as f64 / (m.link_bandwidth * bw_factor)
-        };
-        TransferCost {
-            seconds,
-            bytes,
-            hops,
-        }
-    }
-
     /// Modelled time to perform `probes` vertex hash probes (the paper's
     /// dominant compute cost).
     pub fn hash_time(&self, probes: u64) -> f64 {

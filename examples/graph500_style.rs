@@ -40,7 +40,7 @@ fn run_kernel(name: &str, spec: GraphSpec, grid: ProcessorGrid, num_sources: u64
     for i in 0..num_sources {
         let source = (i * 2 + 1) * spec.n / (2 * num_sources);
         let mut world = SimWorld::bluegene(grid);
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source).unwrap();
 
         // Validation pass (Graph500 requires it).
         let expect = reference::bfs_levels(&adj, source);

@@ -40,7 +40,7 @@ fn main() {
         let spec = GraphSpec::small_world(n, k, rewire, 7);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
         let peak_frontier = r.stats.levels.iter().map(|l| l.frontier).max().unwrap_or(0);
         let fold_wire = r

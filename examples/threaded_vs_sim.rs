@@ -7,7 +7,8 @@
 //! cargo run --release --example threaded_vs_sim
 //! ```
 
-use bgl_bfs::core::{bfs2d, threaded_run, UNREACHED};
+use bgl_bfs::core::threaded_run::{assemble_levels, run_threaded, ThreadedConfig};
+use bgl_bfs::core::{bfs2d, UNREACHED};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 use std::time::Instant;
 
@@ -25,11 +26,12 @@ fn main() {
 
     let t0 = Instant::now();
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0);
+    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
     let sim_wall = t0.elapsed();
 
     let t0 = Instant::now();
-    let threaded = threaded_run::run_threaded(&graph, 0, true);
+    let outcomes = run_threaded(&graph, 0, &ThreadedConfig::default());
+    let threaded = assemble_levels(spec.n, &outcomes).unwrap();
     let threaded_wall = t0.elapsed();
 
     assert_eq!(sim.levels, threaded, "engines must agree exactly");

@@ -34,7 +34,7 @@ fn main() {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let res = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 1);
+        let res = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
 
         // §3.1 expected lengths are totals over a whole-frontier sweep;
         // divide by the executed level count for a per-level analogue.

@@ -83,7 +83,7 @@ fn main() {
             TaskMappingKind::FoldedPlanes,
             ChunkPolicy::Unbounded,
         );
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
         println!(
             "  {name:<12}: {:.3} ms simulated ({:.3} ms comm, {:.3} ms compute)",
             r.stats.sim_time * 1e3,

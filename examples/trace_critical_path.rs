@@ -34,7 +34,7 @@ fn main() {
     // what the link heatmap needs; span detail is cheaper when only the
     // critical path matters.
     world.enable_trace(TraceDetail::Event);
-    let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
     println!(
         "reached {} vertices in {} levels ({:.3} ms simulated)\n",
         result.stats.reached,

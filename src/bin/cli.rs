@@ -125,6 +125,8 @@ impl Flags {
 
 /// Flags shared by every graph-building command.
 const GRAPH_FLAGS: &[&str] = &["n", "k", "seed", "rows", "cols"];
+/// Vertex count when `--n` is absent.
+const DEFAULT_N: u64 = 100_000;
 /// Fault-injection flags (they select the resilient engine).
 const FAULT_FLAGS: &[&str] = &[
     "drop-rate",
@@ -211,6 +213,21 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
             ));
         }
     }
+    if cmd == "search" || cmd == "path" {
+        let n = flags.u64("n", DEFAULT_N);
+        for key in ["source", "target"] {
+            let v = flags.u64(key, 0);
+            if v >= n {
+                return Some(format!(
+                    "--{key} {v} is not a vertex of a graph with --n {n} (0..={})",
+                    n.saturating_sub(1)
+                ));
+            }
+        }
+        if let Some(Err(e)) = flags.0.get("targets").map(|list| targets_from(list, n)) {
+            return Some(e);
+        }
+    }
     if cmd == "path" && flags.has("target") && flags.has("targets") {
         return Some(
             "--target and --targets contradict: one names a single walk, the other a \
@@ -267,6 +284,29 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
         );
     }
     None
+}
+
+/// Parse `--targets`: 1..=64 comma-separated vertices, each below `n`.
+fn targets_from(list: &str, n: u64) -> Result<Vec<u64>, String> {
+    let max = bgl_bfs::comm::MAX_LANES;
+    let targets = list
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| match s.trim().parse::<u64>() {
+            Ok(v) if v < n => Ok(v),
+            Ok(v) => Err(format!(
+                "--targets: {v} is not a vertex of a graph with --n {n}"
+            )),
+            Err(_) => Err(format!("--targets: bad vertex {s:?}")),
+        })
+        .collect::<Result<Vec<u64>, String>>()?;
+    if targets.is_empty() || targets.len() > max {
+        return Err(format!(
+            "--targets takes 1..={max} comma-separated vertices, got {}",
+            targets.len()
+        ));
+    }
+    Ok(targets)
 }
 
 fn engine_from(flags: &Flags) -> ComputeEngine {
@@ -396,7 +436,7 @@ fn grid_from(flags: &Flags) -> ProcessorGrid {
 
 fn spec_from(flags: &Flags) -> GraphSpec {
     GraphSpec::poisson(
-        flags.u64("n", 100_000),
+        flags.u64("n", DEFAULT_N),
         flags.f64("k", 10.0),
         flags.u64("seed", 42),
     )
@@ -405,7 +445,7 @@ fn spec_from(flags: &Flags) -> GraphSpec {
 fn cmd_search(flags: &Flags) {
     let spec = spec_from(flags);
     let grid = grid_from(flags);
-    let source = flags.u64("source", 0).min(spec.n - 1);
+    let source = flags.u64("source", 0);
     println!(
         "G(n={}, k={}) on {}x{} — building…",
         spec.n,
@@ -436,14 +476,15 @@ fn cmd_search(flags: &Flags) {
 
     if flags.has("bidir") {
         // Contradictory fault flags were rejected before dispatch.
-        let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
-        let r = bidir::run(
+        let target = flags.u64("target", spec.n - 1);
+        let r = bidir::try_run(
             &graph,
             &mut world,
             &BfsConfig::paper_optimized().with_engine(engine_from(flags)),
             source,
             target,
-        );
+        )
+        .expect("a world without a fault plan cannot fail");
         match r.distance {
             Some(d) => println!("bi-directional distance {source} → {target}: {d}"),
             None => println!("{source} and {target} are not connected"),
@@ -463,7 +504,7 @@ fn cmd_search(flags: &Flags) {
         .with_engine(engine_from(flags))
         .with_direction(direction);
     if flags.has("target") {
-        config = config.with_target(flags.u64("target", 0).min(spec.n - 1));
+        config = config.with_target(flags.u64("target", 0));
     }
     let r = if faulty {
         world = SimWorld::bluegene(grid)
@@ -588,30 +629,20 @@ fn cmd_search(flags: &Flags) {
 fn cmd_path(flags: &Flags) {
     let spec = spec_from(flags);
     let grid = grid_from(flags);
-    let source = flags.u64("source", 0).min(spec.n - 1);
+    let source = flags.u64("source", 0);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid).with_wire_policy(wire_policy_from(flags));
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+    let fault_free = "a world without a fault plan cannot fail";
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source)
+        .expect(fault_free);
 
     if let Some(list) = flags.0.get("targets") {
         // Batched lane wave: every target shares each per-hop control
         // round of the walk.
-        let targets: Vec<u64> = list
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("--targets: bad vertex {s:?}"))
-                    .min(spec.n - 1)
-            })
-            .collect();
-        assert!(
-            !targets.is_empty() && targets.len() <= bgl_bfs::comm::MAX_LANES,
-            "--targets takes 1..={} comma-separated vertices",
-            bgl_bfs::comm::MAX_LANES
-        );
-        let batched = path::multi(&graph, &mut world, &r.levels, source, &targets);
+        let targets = targets_from(list, spec.n).expect("checked by flag_error");
+        let config = path::MultiPathConfig::default();
+        let batched = path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config)
+            .expect(fault_free);
         println!(
             "batched walk: {} lanes, {} hops, {} control rounds, {:.3} ms sim",
             targets.len(),
@@ -635,8 +666,8 @@ fn cmd_path(flags: &Flags) {
         return;
     }
 
-    let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
-    match path::extract_path(&graph, &mut world, &r.levels, source, target) {
+    let target = flags.u64("target", spec.n - 1);
+    match path::try_extract_path(&graph, &mut world, &r.levels, source, target).expect(fault_free) {
         Some(p) => {
             println!("shortest path ({} hops):", p.len() - 1);
             println!(
@@ -1034,6 +1065,37 @@ mod tests {
             "--bidir --target 9",
         ] {
             assert_eq!(flag_error("search", &flags(line)), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_vertices_are_rejected() {
+        let list = |k: u64| (0..k).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
+        for (cmd, line, mention) in [
+            ("search", "--n 1000 --source 5000".into(), "--source 5000"),
+            ("search", "--n 1000 --source 1000".into(), "--source 1000"),
+            ("search", "--source 100000".into(), "--source 100000"),
+            (
+                "search",
+                "--n 1000 --bidir --target 4000".into(),
+                "--target 4000",
+            ),
+            ("path", "--n 1000 --target 1000".into(), "--target 1000"),
+            ("path", "--n 1000 --targets 5,1000".into(), "1000"),
+            ("path", "--n 1000 --targets 5,x".into(), "bad vertex"),
+            ("path", "--n 1000 --targets".into(), "bad vertex"),
+            ("path", "--n 1000 --targets ,".into(), "1..=64"),
+            ("path", format!("--n 1000 --targets {}", list(65)), "1..=64"),
+        ] {
+            let e = flag_error(cmd, &flags(&line)).expect(&line);
+            assert!(e.contains(mention), "{cmd} {line}: {e}");
+        }
+        for (cmd, line) in [
+            ("search", "--n 1000 --source 999 --target 0".into()),
+            ("path", "--n 1000 --source 999 --target 999".into()),
+            ("path", format!("--n 1000 --targets {}", list(64))),
+        ] {
+            assert_eq!(flag_error(cmd, &flags(&line)), None, "{cmd} {line}");
         }
     }
 

@@ -3,9 +3,15 @@
 //! BFS labels — the evidence that simulated message routing is faithful.
 
 use bgl_bfs::comm::{FaultPlan, OpClass, WireCount};
-use bgl_bfs::core::{bfs2d, bidir, threaded_run, ComputeEngine};
+use bgl_bfs::core::{bfs2d, bidir, threaded_run, ComputeEngine, ThreadedConfig};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
 use proptest::prelude::*;
+
+/// A fault-free threaded run's global levels.
+fn threaded_levels(graph: &DistGraph, source: u64, config: &ThreadedConfig) -> Vec<u32> {
+    let outs = threaded_run::run_threaded(graph, source, config);
+    threaded_run::assemble_levels(graph.spec.n, &outs).expect("fault-free run")
+}
 
 /// Reassemble global levels and summed (expand, fold) wire counters
 /// from per-rank threaded outcomes.
@@ -13,13 +19,10 @@ fn gather_threaded(
     graph: &DistGraph,
     outs: Vec<Result<threaded_run::RankOutcome, bgl_bfs::CommError>>,
 ) -> (Vec<u32>, WireCount, WireCount) {
-    let mut levels = vec![u32::MAX; graph.spec.n as usize];
+    let levels = threaded_run::assemble_levels(graph.spec.n, &outs).expect("fault-free run");
     let mut expand = WireCount::default();
     let mut fold = WireCount::default();
-    for out in outs {
-        let out = out.expect("fault-free run");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
+    for out in outs.iter().flatten() {
         expand.logical_bytes += out.expand_wire.logical_bytes;
         expand.wire_bytes += out.expand_wire.wire_bytes;
         fold.logical_bytes += out.fold_wire.logical_bytes;
@@ -44,13 +47,17 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let threaded = threaded_run::run_threaded(&graph, 0, sent);
+        let config = ThreadedConfig {
+            sent_neighbors: sent,
+            ..ThreadedConfig::default()
+        };
+        let threaded = threaded_levels(&graph, 0, &config);
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig {
             sent_neighbors: sent,
             ..BfsConfig::baseline_alltoall()
         };
-        let sim = bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(threaded, sim.levels);
     }
 }
@@ -61,9 +68,9 @@ fn engines_agree_on_wide_grid() {
     let spec = GraphSpec::poisson(2_000, 8.0, 77);
     let grid = ProcessorGrid::new(4, 6);
     let graph = DistGraph::build(spec, grid);
-    let threaded = threaded_run::run_threaded(&graph, 19, true);
+    let threaded = threaded_levels(&graph, 19, &ThreadedConfig::default());
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 19);
+    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 19).unwrap();
     assert_eq!(threaded, sim.levels);
 }
 
@@ -89,7 +96,7 @@ fn rayon_compute_engine_is_bit_identical_to_serial() {
             }
             .with_engine(engine);
             let mut world = SimWorld::bluegene(grid);
-            bfs2d::run(&graph, &mut world, &config, 0)
+            bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
         };
         let serial = run(ComputeEngine::Serial);
         let rayon = run(ComputeEngine::Rayon);
@@ -121,13 +128,14 @@ fn rayon_engine_bit_identical_on_bidirectional_search() {
     let graph = DistGraph::build(spec, grid);
     let run = |engine: ComputeEngine| {
         let mut world = SimWorld::bluegene(grid);
-        bidir::run(
+        bidir::try_run(
             &graph,
             &mut world,
             &BfsConfig::paper_optimized().with_engine(engine),
             0,
             899,
         )
+        .unwrap()
     };
     let serial = run(ComputeEngine::Serial);
     let rayon = run(ComputeEngine::Rayon);
@@ -160,14 +168,17 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let outs = threaded_run::run_threaded_with_wire(
-            &graph, 0, sent, FaultPlan::none(), WirePolicy::auto(),
-        );
+        let config = ThreadedConfig {
+            sent_neighbors: sent,
+            wire: WirePolicy::auto(),
+            ..ThreadedConfig::default()
+        };
+        let outs = threaded_run::run_threaded(&graph, 0, &config);
         let (levels, expand, fold) = gather_threaded(&graph, outs);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
         let config = BfsConfig { sent_neighbors: sent, ..BfsConfig::baseline_alltoall() };
-        let sim = bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);
 
         let se = sim.stats.comm.class(OpClass::Expand);
@@ -191,7 +202,7 @@ fn rayon_engine_bit_identical_with_wire_codec_on() {
     let run = |engine: ComputeEngine| {
         let config = BfsConfig::paper_optimized().with_engine(engine);
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        bfs2d::run(&graph, &mut world, &config, 0)
+        bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
     };
     let serial = run(ComputeEngine::Serial);
     let rayon = run(ComputeEngine::Rayon);
@@ -216,9 +227,10 @@ fn repeated_threaded_runs_are_deterministic() {
     let spec = GraphSpec::poisson(800, 6.0, 13);
     let grid = ProcessorGrid::new(3, 3);
     let graph = DistGraph::build(spec, grid);
-    let first = threaded_run::run_threaded(&graph, 0, true);
+    let config = ThreadedConfig::default();
+    let first = threaded_levels(&graph, 0, &config);
     for _ in 0..5 {
-        assert_eq!(threaded_run::run_threaded(&graph, 0, true), first);
+        assert_eq!(threaded_levels(&graph, 0, &config), first);
     }
 }
 
