@@ -114,3 +114,103 @@ fn world_reset_restores_clean_slate() {
     assert_eq!(a.stats.sim_time.to_bits(), b.stats.sim_time.to_bits());
     assert_eq!(a.stats.comm, b.stats.comm);
 }
+
+/// `(sim_time, comm_time, compute_time)` bits and per-level
+/// `(frontier, fold_received, wire_bytes)` of one run.
+type Golden = ([u64; 3], &'static [(u64, u64, u64)]);
+
+fn assert_golden(case: &str, stats: &bgl_bfs::core::RunStats, (clocks, levels): Golden) {
+    let got: Vec<(u64, u64, u64)> = stats
+        .levels
+        .iter()
+        .map(|l| (l.frontier, l.fold_received, l.wire_bytes))
+        .collect();
+    let bits = [stats.sim_time, stats.comm_time, stats.compute_time].map(f64::to_bits);
+    assert_eq!(
+        (bits, got.as_slice()),
+        (clocks, levels),
+        "{case}: clock bits or volumes moved"
+    );
+}
+
+/// Golden values captured before the level phases were shared between
+/// the searches and runtimes: a refactor of the level loop must leave
+/// every simulated clock bit and every per-level volume where it was.
+#[test]
+fn golden_clocks_and_level_volumes_are_pinned() {
+    use bgl_bfs::comm::{FaultPlan, WirePolicy};
+    use bgl_bfs::core::{bfs1d, bidir, ResilientConfig};
+
+    let grid = ProcessorGrid::new(3, 3);
+    let graph = DistGraph::build(GraphSpec::poisson(1_200, 8.0, 7), grid);
+    for (case, config, golden) in [
+        (
+            "paper_optimized",
+            BfsConfig::paper_optimized(),
+            PAPER_OPTIMIZED,
+        ),
+        (
+            "baseline_alltoall",
+            BfsConfig::baseline_alltoall(),
+            BASELINE_ALLTOALL,
+        ),
+    ] {
+        let got = bfs2d::try_run(&graph, &mut SimWorld::bluegene(grid), &config, 5).unwrap();
+        assert_golden(case, &got.stats, golden);
+    }
+
+    let grid = ProcessorGrid::new(2, 3);
+    let dense = DistGraph::build(GraphSpec::poisson(1_500, 14.0, 71), grid);
+    let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
+    let dirop = bfs2d::try_run(&dense, &mut world, &BfsConfig::direction_optimized(), 0).unwrap();
+    assert!(
+        dirop.stats.direction_split().1 > 0,
+        "case must go bottom-up"
+    );
+    assert_golden("direction_optimized", &dirop.stats, DIRECTION_OPTIMIZED);
+
+    let small = GraphSpec::poisson(600, 6.0, 31);
+    let graph = DistGraph::build(small, grid);
+    let plan = FaultPlan::seeded(5).kill_rank_at(4, 3);
+    let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
+    let (config, rc) = (BfsConfig::default(), ResilientConfig::default());
+    let resilient = bfs2d::run_resilient(&graph, &mut world, &config, 0, &rc).unwrap();
+    assert_eq!(resilient.recoveries, 1);
+    assert_golden("run_resilient", &resilient.result.stats, RESILIENT);
+
+    let bi = bidir::try_run(&graph, &mut SimWorld::bluegene(grid), &config, 0, 599).unwrap();
+    assert_golden("bidir", &bi.stats, BIDIR);
+
+    let line = ProcessorGrid::one_d(6);
+    let graph = DistGraph::build(small, line);
+    let one_d = bfs1d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
+    assert_golden("bfs1d", &one_d.stats, BFS1D);
+}
+
+#[rustfmt::skip]
+const PAPER_OPTIMIZED: Golden = ([0x3f3b92d4dbd4f9c5, 0x3f34e8e3fe7f152f, 0x3f1aa7c37557925b], &[
+    (1, 4, 48), (6, 56, 544), (46, 339, 3440), (296, 1281, 14792),
+    (732, 1191, 20424), (118, 55, 2120), (1, 0, 8),
+]);
+#[rustfmt::skip]
+const BASELINE_ALLTOALL: Golden = ([0x3f3ab0cf0f2ebacd, 0x3f340767a238176e, 0x3f1aa59db3da8d81], &[
+    (1, 3, 40), (6, 35, 376), (46, 219, 2480), (296, 1008, 12608),
+    (732, 911, 18184), (118, 36, 1968), (1, 0, 8),
+]);
+#[rustfmt::skip]
+const DIRECTION_OPTIMIZED: Golden = ([0x3f37abbf8e65db26, 0x3f25c49fcb5bc5ee, 0x3f2992df516ff065], &[
+    (1, 20, 54), (21, 289, 362), (283, 2069, 754), (1112, 1414, 675), (83, 12, 144),
+]);
+#[rustfmt::skip]
+const RESILIENT: Golden = ([0x3f3bb3fe2b19ccbc, 0x3f37dcae2298c9c7, 0x3f0eba80440817a7], &[
+    (1, 11, 96), (12, 78, 712), (66, 331, 3168), (247, 672, 7336), (247, 303, 4312), (26, 12, 264),
+]);
+#[rustfmt::skip]
+const BIDIR: Golden = ([0x3f2a5943eb8240e6, 0x3f2a12439e4cd064, 0x3ec1c0134d5c20b5], &[
+    (1, 11, 96), (1, 3, 32), (4, 26, 240),
+]);
+#[rustfmt::skip]
+const BFS1D: Golden = ([0x3f34032c132489de, 0x3f2fc0524c59378c, 0x3f108c0bb3dfb85a], &[
+    (1, 11, 88), (10, 98, 784), (59, 497, 3976), (245, 1412, 11296),
+    (262, 921, 7368), (21, 37, 296), (1, 2, 16),
+]);
