@@ -964,16 +964,9 @@ impl SimWorld {
         self.stats.note_dups(rank, n);
     }
 
-    /// Global OR over per-rank flags (termination detection). BlueGene/L
-    /// performs this on its dedicated tree network; modelled as a
-    /// log₂(P)-depth combining tree of tiny control messages.
-    pub fn allreduce_or(&mut self, flags: &[bool]) -> bool {
-        debug_assert_eq!(flags.len(), self.p());
-        self.charge_tree_allreduce();
-        flags.iter().any(|&f| f)
-    }
-
-    /// Global sum over per-rank values, same tree-network model.
+    /// Global sum over per-rank values (termination detection).
+    /// BlueGene/L performs this on its dedicated tree network; modelled
+    /// as a log₂(P)-depth combining tree of tiny control messages.
     pub fn allreduce_sum(&mut self, vals: &[u64]) -> u64 {
         debug_assert_eq!(vals.len(), self.p());
         self.charge_tree_allreduce();
@@ -1136,10 +1129,8 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_or_and_sum() {
+    fn allreduce_sum_charges_the_tree() {
         let mut w = world(8);
-        assert!(!w.allreduce_or(&[false; 8]));
-        assert!(w.allreduce_or(&[false, false, true, false, false, false, false, false]));
         assert_eq!(w.allreduce_sum(&[1, 2, 3, 4, 5, 6, 7, 8]), 36);
         assert!(w.comm_time() > 0.0);
     }
@@ -1147,7 +1138,7 @@ mod tests {
     #[test]
     fn allreduce_free_on_single_rank() {
         let mut w = world(1);
-        w.allreduce_or(&[true]);
+        w.allreduce_sum(&[1]);
         assert_eq!(w.time(), 0.0);
     }
 
@@ -1228,7 +1219,7 @@ mod tests {
             .unwrap();
         w.exchange(OpClass::Fold, vec![(1, 2, vec![2; 200])])
             .unwrap();
-        w.allreduce_or(&[false; 4]);
+        w.allreduce_sum(&[0; 4]);
         w.hash_phase(&[500, 100, 0, 0]);
         w.memcpy_phase(&[4096, 0, 0, 0]);
         let by_class = w.comm_time_for(OpClass::Expand)
@@ -1459,7 +1450,7 @@ mod tests {
         let reference = {
             let mut w = world(4).with_fault_plan(plan.clone());
             w.exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
-                .map(|_| (w.stats.faults.clone(), w.data_round()))
+                .map(|_| (w.stats.faults, w.data_round()))
         };
         let mut w = world(4).with_fault_plan(plan).with_faulty_control();
         assert!(w.control_faultable());
@@ -1479,11 +1470,11 @@ mod tests {
             control_retries > 0,
             "drop 0.6 over 6 control rounds must retransmit"
         );
-        let before = w.stats.faults.clone();
+        let before = w.stats.faults;
         let got = w
             .exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
             .map(|_| {
-                let mut f = w.stats.faults.clone();
+                let mut f = w.stats.faults;
                 f.drops_injected -= before.drops_injected;
                 f.truncations_injected -= before.truncations_injected;
                 f.duplicates_injected -= before.duplicates_injected;

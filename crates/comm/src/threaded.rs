@@ -514,11 +514,6 @@ impl RankCtx {
         Ok(out)
     }
 
-    /// Global OR across all ranks (one control round).
-    pub fn allreduce_or(&mut self, flag: bool) -> Result<bool, CommError> {
-        Ok(self.allreduce_sum(flag as u64)? > 0)
-    }
-
     /// Global sum across all ranks (one control round).
     pub fn allreduce_sum(&mut self, value: u64) -> Result<u64, CommError> {
         let p = self.grid.len();
@@ -706,14 +701,10 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_and_or() {
+    fn allreduce_sum_over_ranks() {
         let grid = ProcessorGrid::new(2, 3);
         let sums = ThreadedWorld::run(grid, |ctx| ctx.allreduce_sum(ctx.rank() as u64).unwrap());
         assert!(sums.iter().all(|&s| s == 15));
-        let ors = ThreadedWorld::run(grid, |ctx| ctx.allreduce_or(ctx.rank() == 3).unwrap());
-        assert!(ors.iter().all(|&o| o));
-        let ors = ThreadedWorld::run(grid, |ctx| ctx.allreduce_or(false).unwrap());
-        assert!(ors.iter().all(|&o| !o));
     }
 
     #[test]

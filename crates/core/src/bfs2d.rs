@@ -1,16 +1,15 @@
 //! Distributed level-synchronized BFS with 2D partitioning — the
 //! paper's Algorithm 2, on the superstep simulator.
 //!
-//! Each level runs the five phases of the paper's main loop:
-//!
-//! 1. frontier formation + global termination check (steps 3–6);
-//! 2. **expand** over processor-columns (steps 7–11), by the configured
-//!    [`crate::config::ExpandStrategy`];
-//! 3. local neighbor discovery over partial edge lists (step 12), with
-//!    the sent-neighbors cache;
-//! 4. **fold** over processor-rows (steps 13–18), by the configured
-//!    [`crate::config::FoldStrategy`];
-//! 5. absorb: label unlabeled owned vertices (steps 19–21).
+//! Each level is one `level::step`: termination check and
+//! direction choice (steps 3–6), **expand** over processor-columns by
+//! the configured [`crate::config::ExpandStrategy`] or the bottom-up
+//! frontier gather (steps 7–11), local discovery with the
+//! sent-neighbors cache (step 12), **fold** over processor-rows by the
+//! configured [`crate::config::FoldStrategy`] (steps 13–18), and absorb
+//! (steps 19–21). The threaded runtime ([`crate::threaded_run`]) runs
+//! the same step; this module adds the level loop, the target check
+//! and checkpoint/recover around it.
 //!
 //! Compute time is charged per level from the hash-probe counts; all
 //! message accounting happens inside the communication layer.
@@ -43,19 +42,12 @@
 //!   produces bit-identical level labels to a fault-free run, because
 //!   absorb only ever labels unreached vertices.
 
-use crate::config::{BfsConfig, DirectionMode, ExpandStrategy, FoldStrategy};
+use crate::config::{check_inputs, BfsConfig, Input};
+use crate::level;
 use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
-use crate::stats::{LevelDirection, LevelStats, RunStats};
-use bgl_comm::collectives::{
-    allgather::allgather_ring,
-    alltoall::alltoallv,
-    frontier::frontier_gather,
-    reduce_scatter::reduce_scatter_union_ring,
-    two_phase::{two_phase_expand, two_phase_fold},
-    Groups,
-};
-use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert, VertSet};
+use crate::stats::RunStats;
+use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 
 /// The outcome of one distributed BFS run.
@@ -156,29 +148,9 @@ pub struct ResilientBfsResult {
     pub recovery_time: f64,
 }
 
-/// Per-rank fold output: either one payload list per sender (direct
-/// all-to-all — duplicate elimination happens at the receiver, one probe
-/// per *occurrence*) or a single union set per rank (the union-fold
-/// collectives, one probe per *element*).
-pub(crate) enum FoldOut {
-    /// One received list per sending row peer.
-    PerSender(Vec<Vec<Vec<Vert>>>),
-    /// One deduplicated union set per rank.
-    Union(Vec<VertSet>),
-}
-
-/// What one level of the main loop decided.
-enum LevelOutcome {
-    /// Global frontier empty: traversal complete.
-    Exhausted,
-    /// The configured target was labeled this level.
-    TargetFound,
-    /// Proceed to the next level.
-    Advance,
-}
-
 /// Run Algorithm 2 from `source` on `graph` under `config`, inside
-/// `world`. The world's grid must match the graph's.
+/// `world`. A world whose grid is not the graph's, or a source ≥ n,
+/// returns [`CommError::InvalidConfig`].
 ///
 /// Communication faults surface as typed errors. Under a plan of
 /// message faults only (drops/truncations/duplicates) the
@@ -204,210 +176,6 @@ pub fn run_resilient(
     resilience: &ResilientConfig,
 ) -> Result<ResilientBfsResult, CommError> {
     engine(graph, world, config, source, Some(resilience))
-}
-
-/// One level of the paper's main loop over all simulated ranks. Pushes
-/// this level's [`LevelStats`] and sets `target_level` before reporting
-/// [`LevelOutcome::TargetFound`].
-#[allow(clippy::too_many_arguments)]
-fn level_pass(
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    states: &mut [RankState<'_>],
-    row_groups: &Groups,
-    col_groups: &Groups,
-    n: u64,
-    level: u32,
-    level_records: &mut Vec<LevelStats>,
-    target_level: &mut Option<u32>,
-) -> Result<LevelOutcome, CommError> {
-    let grid = world.grid();
-    let time_at_start = world.time();
-    let comm_at_start = world.comm_time();
-    let codec_at_start = world.codec_time();
-    let comm_snapshot = world.stats.clone();
-
-    // -- 1. termination check on global frontier size. With direction
-    // optimization on, the same tree round also allreduces the frontier
-    // edge mass and the unexplored stored-entry count (a 3-word payload
-    // instead of 1 — no extra communication rounds), and every rank
-    // derives the level's direction from the identical global sums.
-    let frontier_sizes: Vec<u64> = states.iter().map(|s| s.frontier_len()).collect();
-    let (global_frontier, bottom_up) = if config.direction.mode == DirectionMode::TopDown {
-        (world.allreduce_sum(&frontier_sizes), false)
-    } else {
-        let mf: Vec<u64> = states.iter().map(|s| s.frontier_degree()).collect();
-        let mu: Vec<u64> = states.iter().map(|s| s.unexplored()).collect();
-        let (gf, mf_hat, mu_hat) = world.allreduce_sum3(&frontier_sizes, &mf, &mu);
-        let bu = config
-            .direction
-            .wants_bottom_up(gf, mf_hat, mu_hat, n, grid.rows() as u64);
-        (gf, bu)
-    };
-    world.trace_span(Phase::Termination, level, time_at_start);
-    if global_frontier == 0 {
-        return Ok(LevelOutcome::Exhausted);
-    }
-
-    let blocks: Vec<Vec<Vec<Vert>>> = if bottom_up {
-        // -- 2. (bottom-up) frontier gather over processor-columns:
-        // every rank ends with the union of its column's frontiers —
-        // exactly the vertices that can parent the rows it stores.
-        let t_gather = world.time();
-        let contributions: Vec<Vec<Vert>> = states.iter().map(|s| s.frontier.clone()).collect();
-        let gathered = frontier_gather(world, OpClass::Expand, col_groups, contributions)?;
-        world.trace_span(Phase::Gather, level, t_gather);
-
-        // -- 3. (bottom-up) discover: scan unvisited stored rows,
-        // early-exit on the first frontier parent.
-        let t_discover = world.time();
-        let blocks = config
-            .engine
-            .zip_map(states, &gathered, |s, fs| s.discover_bottom_up(fs));
-        drop(gathered);
-        world.trace_span(Phase::Discover, level, t_discover);
-        blocks
-    } else {
-        // -- 2. expand.
-        let t_expand = world.time();
-        let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
-            ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = config
-                    .engine
-                    .map_mut(states, RankState::expand_sends_targeted);
-                alltoallv(world, OpClass::Expand, col_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::AllGatherRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                allgather_ring(world, OpClass::Expand, col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::TwoPhaseRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                two_phase_expand(world, OpClass::Expand, col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-        };
-
-        world.trace_span(Phase::Expand, level, t_expand);
-
-        // -- 3. local discovery. Zero-duration span in the simulator:
-        // the probe costs are charged in the absorb phase's hash pass.
-        let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> = config.engine.zip_map(states, &fbar, |s, lists| {
-            let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-            s.discover(&refs)
-        });
-        drop(fbar);
-        world.trace_span(Phase::Discover, level, t_discover);
-        blocks
-    };
-
-    // -- 4. fold.
-    let t_fold = world.time();
-    let nbar: FoldOut = match config.fold {
-        FoldStrategy::DirectAllToAll => {
-            let sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-                .into_iter()
-                .enumerate()
-                .map(|(rank, bs)| {
-                    let i = grid.row_of(rank);
-                    bs.into_iter()
-                        .enumerate()
-                        .filter(|(_, b)| !b.is_empty())
-                        .map(|(m, b)| (grid.rank_of(i, m), b))
-                        .collect()
-                })
-                .collect();
-            FoldOut::PerSender(
-                alltoallv(world, OpClass::Fold, row_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect(),
-            )
-        }
-        FoldStrategy::ReduceScatterUnion => FoldOut::Union(reduce_scatter_union_ring(
-            world,
-            OpClass::Fold,
-            row_groups,
-            blocks,
-        )?),
-        FoldStrategy::TwoPhaseRing => {
-            FoldOut::Union(two_phase_fold(world, OpClass::Fold, row_groups, blocks)?)
-        }
-    };
-
-    world.trace_span(Phase::Fold, level, t_fold);
-
-    // -- 5. absorb + compute charge.
-    let t_absorb = world.time();
-    match &nbar {
-        FoldOut::PerSender(lists) => {
-            let _: Vec<u64> = config.engine.zip_map(states, lists, |s, lists| {
-                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                s.absorb(&refs, level + 1)
-            });
-        }
-        FoldOut::Union(sets) => {
-            let _: Vec<u64> = config
-                .engine
-                .zip_map(states, sets, |s, set| s.absorb_set(set, level + 1));
-        }
-    }
-    drop(nbar);
-    let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
-    let level_probes: u64 = probes.iter().sum();
-    world.hash_phase(&probes);
-
-    // -- target detection.
-    if let Some(t) = config.target {
-        let flags: Vec<bool> = states.iter().map(|s| s.level_of(t).is_some()).collect();
-        if world.allreduce_or(&flags) {
-            *target_level = Some(level + 1);
-        }
-    }
-    // The absorb span also covers the target-detection allreduce, so
-    // the level's phase spans partition its whole interval.
-    world.trace_span(Phase::Absorb, level, t_absorb);
-    world.trace_span(Phase::Level, level, time_at_start);
-
-    let delta = world.stats.minus(&comm_snapshot);
-    level_records.push(LevelStats {
-        level,
-        frontier: global_frontier,
-        expand_received: delta.class(OpClass::Expand).received_verts,
-        fold_received: delta.class(OpClass::Fold).received_verts,
-        dups_eliminated: delta.total_dups_eliminated(),
-        sim_time: world.time() - time_at_start,
-        comm_time: world.comm_time() - comm_at_start,
-        list_unions: delta.setops.list_unions,
-        bitmap_unions: delta.setops.bitmap_unions,
-        densify_switches: delta.setops.densify_switches,
-        logical_bytes: delta.total_logical_bytes(),
-        wire_bytes: delta.total_wire_bytes(),
-        codec_time: world.codec_time() - codec_at_start,
-        direction: if bottom_up {
-            LevelDirection::BottomUp
-        } else {
-            LevelDirection::TopDown
-        },
-        td_probes: if bottom_up { 0 } else { level_probes },
-        bu_probes: if bottom_up { level_probes } else { 0 },
-    });
-
-    if target_level.is_some() {
-        return Ok(LevelOutcome::TargetFound);
-    }
-    Ok(LevelOutcome::Advance)
 }
 
 /// One encoded delta-log entry: `[level, count, verts...]` — the unit
@@ -530,17 +298,13 @@ fn engine(
     resilience: Option<&ResilientConfig>,
 ) -> Result<ResilientBfsResult, CommError> {
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert!(source < graph.spec.n, "source out of range");
+    check_inputs(graph, &[Input::Grid(grid), Input::Vertices(&[source])])?;
     let p = grid.len();
 
     // One decision drives both host-parallel layers: the per-rank
     // compute fan-out and the exchange precompute (wire encode + cost
     // attribution) in the communication layer. Bit-identical either way.
     world.set_parallel_exchange(config.engine.parallel(p));
-
-    let row_groups = Groups::rows_of(grid);
-    let col_groups = Groups::cols_of(grid);
 
     let mut states: Vec<RankState<'_>> = graph
         .ranks
@@ -595,19 +359,14 @@ fn engine(
             }
         }
 
-        match level_pass(
-            world,
-            config,
-            &mut states,
-            &row_groups,
-            &col_groups,
-            graph.spec.n,
-            level,
-            &mut level_records,
-            &mut target_level,
-        ) {
-            Ok(LevelOutcome::Exhausted) | Ok(LevelOutcome::TargetFound) => break,
-            Ok(LevelOutcome::Advance) => {
+        match level::step(world, &mut states, config, graph.spec.n, level) {
+            Ok(None) => break,
+            Ok(Some((record, hit))) => {
+                level_records.push(record);
+                if hit {
+                    target_level = Some(level + 1);
+                    break;
+                }
                 if let Some(rc) = resilience {
                     parity_update(
                         world,
@@ -798,22 +557,12 @@ fn engine(
         }
     }
 
-    let levels = gather_levels(&states, graph.spec.n);
-    let reached = states.iter().map(|s| s.reached()).sum();
+    let reached = states.iter().map(RankState::reached).sum();
     Ok(ResilientBfsResult {
         result: BfsResult {
-            stats: RunStats {
-                levels: level_records,
-                sim_time: world.time(),
-                comm_time: world.comm_time(),
-                compute_time: world.compute_time(),
-                codec_time: world.codec_time(),
-                reached,
-                comm: world.stats.clone(),
-                p,
-            },
+            stats: RunStats::from_world(world, level_records, reached),
             target_level,
-            levels,
+            levels: gather_levels(&states, graph.spec.n),
         },
         recoveries,
         degraded_restarts,

@@ -1,12 +1,15 @@
 //! Bi-directional distributed BFS (paper §2.3).
 //!
 //! Two level-synchronized searches run simultaneously — one from the
-//! source, one from the destination — each using the full 2D expand /
-//! fold machinery. The loop advances the side with the smaller global
-//! frontier (keeping both frontiers small is exactly the advantage the
-//! paper cites: "the frontier of the search remains small compared to
-//! the uni-directional case. This reduces the communication volume as
-//! well as the number of memory accesses").
+//! source, one from the destination. Each half-step is the top-down
+//! expand, discover, fold and absorb that every search shares
+//! (`crate::level`), under the configured strategies, and its record
+//! comes from the same level meter, hash probes included. The loop
+//! keeps its own termination check and advances the side with the
+//! smaller global frontier (keeping both frontiers small is exactly the
+//! advantage the paper cites: "the frontier of the search remains small
+//! compared to the uni-directional case. This reduces the communication
+//! volume as well as the number of memory accesses").
 //!
 //! Meet detection: after absorbing a level, each rank checks its *newly
 //! labeled* vertices against the other side's labels and tracks the
@@ -16,18 +19,11 @@
 //! distance is exact (any shorter path would contain a doubly-labeled
 //! vertex with a smaller sum).
 
-use crate::bfs2d::FoldOut;
-use crate::config::{BfsConfig, ExpandStrategy, FoldStrategy};
+use crate::config::{check_inputs, BfsConfig, Input};
+use crate::level::{self, Meter};
 use crate::state::RankState;
-use crate::stats::{LevelStats, RunStats};
-use bgl_comm::collectives::{
-    allgather::allgather_ring,
-    alltoall::alltoallv,
-    reduce_scatter::reduce_scatter_union_ring,
-    two_phase::{two_phase_expand, two_phase_fold},
-    Groups,
-};
-use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
+use crate::stats::RunStats;
+use bgl_comm::{CommError, SimWorld};
 use bgl_graph::{DistGraph, Vertex};
 
 /// Outcome of a bi-directional search.
@@ -39,15 +35,8 @@ pub struct BidirResult {
     pub stats: RunStats,
 }
 
-/// Which search direction a state vector belongs to.
-#[derive(Clone, Copy, PartialEq)]
-enum Side {
-    Source,
-    Target,
-}
-
 /// Run a bi-directional search between `source` and `target`.
-/// Communication faults surface as typed errors.
+/// Bad inputs and communication faults surface as typed errors.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -55,45 +44,33 @@ pub fn try_run(
     source: Vertex,
     target: Vertex,
 ) -> Result<BidirResult, CommError> {
-    let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert!(source < graph.spec.n && target < graph.spec.n);
-    let p = grid.len();
-
+    check_inputs(
+        graph,
+        &[
+            Input::Grid(world.grid()),
+            Input::Vertices(&[source, target]),
+        ],
+    )?;
     if source == target {
         return Ok(BidirResult {
             distance: Some(0),
-            stats: RunStats {
-                levels: Vec::new(),
-                sim_time: 0.0,
-                comm_time: 0.0,
-                compute_time: 0.0,
-                codec_time: 0.0,
-                reached: 1,
-                comm: world.stats.clone(),
-                p,
-            },
+            stats: RunStats::from_world(world, Vec::new(), 1),
         });
     }
 
-    let row_groups = Groups::rows_of(grid);
-    let col_groups = Groups::cols_of(grid);
-
-    let mut st_s: Vec<RankState<'_>> = graph
-        .ranks
-        .iter()
-        .map(|rg| RankState::new(rg, graph.partition, config.sent_neighbors))
-        .collect();
-    let mut st_t: Vec<RankState<'_>> = graph
-        .ranks
-        .iter()
-        .map(|rg| RankState::new(rg, graph.partition, config.sent_neighbors))
-        .collect();
-    st_s[graph.partition.owner_of(source)].init_source(source);
-    st_t[graph.partition.owner_of(target)].init_source(target);
+    let fresh = |root: Vertex| {
+        let mut states: Vec<RankState<'_>> = graph
+            .ranks
+            .iter()
+            .map(|rg| RankState::new(rg, graph.partition, config.sent_neighbors))
+            .collect();
+        states[graph.partition.owner_of(root)].init_source(root);
+        states
+    };
+    let (mut st_s, mut st_t) = (fresh(source), fresh(target));
 
     // Per-rank best meet sum found so far.
-    let mut best_local = vec![u64::MAX; p];
+    let mut best_local = vec![u64::MAX; world.p()];
     let mut candidate = u64::MAX;
     let (mut depth_s, mut depth_t) = (0u64, 0u64);
     let mut level_records = Vec::new();
@@ -114,110 +91,17 @@ pub fn try_run(
             break; // both exhausted: disconnected (or candidate found).
         }
         // Advance the smaller live frontier.
-        let side = if gs == 0 {
-            Side::Target
-        } else if gt == 0 || gs <= gt {
-            Side::Source
+        let (states, other, depth, frontier) = if gs != 0 && (gt == 0 || gs <= gt) {
+            (&mut st_s, &st_t, &mut depth_s, gs)
         } else {
-            Side::Target
-        };
-
-        let time_at_start = world.time();
-        let comm_at_start = world.comm_time();
-        let codec_at_start = world.codec_time();
-        let comm_snapshot = world.stats.clone();
-
-        let (states, other, depth, frontier_size) = match side {
-            Side::Source => (&mut st_s, &st_t, &mut depth_s, gs),
-            Side::Target => (&mut st_t, &st_s, &mut depth_t, gt),
+            (&mut st_t, &st_s, &mut depth_t, gt)
         };
         let next_level = *depth as u32 + 1;
 
-        // --- one full level of the chosen side (expand/discover/fold).
-        let t_expand = world.time();
-        let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
-            ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = config
-                    .engine
-                    .map_mut(states, RankState::expand_sends_targeted);
-                alltoallv(world, OpClass::Expand, &col_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::AllGatherRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                allgather_ring(world, OpClass::Expand, &col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::TwoPhaseRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                two_phase_expand(world, OpClass::Expand, &col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-        };
-        world.trace_span(Phase::Expand, iter, t_expand);
-        let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> = config.engine.zip_map(states, &fbar, |s, lists| {
-            let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-            s.discover(&refs)
-        });
-        drop(fbar);
-        world.trace_span(Phase::Discover, iter, t_discover);
-        let t_fold = world.time();
-        let nbar: FoldOut = match config.fold {
-            FoldStrategy::DirectAllToAll => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, bs)| {
-                        let i = grid.row_of(rank);
-                        bs.into_iter()
-                            .enumerate()
-                            .filter(|(_, b)| !b.is_empty())
-                            .map(|(m, b)| (grid.rank_of(i, m), b))
-                            .collect()
-                    })
-                    .collect();
-                FoldOut::PerSender(
-                    alltoallv(world, OpClass::Fold, &row_groups, sends)?
-                        .into_iter()
-                        .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                        .collect(),
-                )
-            }
-            FoldStrategy::ReduceScatterUnion => FoldOut::Union(reduce_scatter_union_ring(
-                world,
-                OpClass::Fold,
-                &row_groups,
-                blocks,
-            )?),
-            FoldStrategy::TwoPhaseRing => {
-                FoldOut::Union(two_phase_fold(world, OpClass::Fold, &row_groups, blocks)?)
-            }
-        };
-        world.trace_span(Phase::Fold, iter, t_fold);
-        let t_absorb = world.time();
-        match &nbar {
-            FoldOut::PerSender(lists) => {
-                let _: Vec<u64> = config.engine.zip_map(states, lists, |s, lists| {
-                    let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                    s.absorb(&refs, next_level)
-                });
-            }
-            FoldOut::Union(sets) => {
-                let _: Vec<u64> = config
-                    .engine
-                    .zip_map(states, sets, |s, set| s.absorb_set(set, next_level));
-            }
-        }
-        drop(nbar);
+        // --- one full top-down level of the chosen side.
+        let mut meter = Meter::start(world, iter);
+        let blocks = meter.discover(world, states, config, false)?;
+        meter.fold_absorb(world, states, config, blocks, next_level)?;
 
         // --- meet detection on the newly labeled frontier (each rank
         // probes its fresh labels against the other side's labels; the
@@ -235,49 +119,18 @@ pub fn try_run(
         for (slot, m) in best_local.iter_mut().zip(&meets) {
             *slot = (*slot).min(*m);
         }
-        let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
-        world.hash_phase(&probes);
+        let probes = level::charge_probes(world, states);
         candidate = candidate.min(world.allreduce_min(&best_local));
         // Absorb also covers meet detection and the min-allreduce.
-        world.trace_span(Phase::Absorb, iter, t_absorb);
-        world.trace_span(Phase::Level, iter, time_at_start);
+        level_records.push(meter.finish(world, frontier, false, probes));
         *depth += 1;
-
-        let delta = world.stats.minus(&comm_snapshot);
-        level_records.push(LevelStats {
-            level: iter,
-            frontier: frontier_size,
-            expand_received: delta.class(OpClass::Expand).received_verts,
-            fold_received: delta.class(OpClass::Fold).received_verts,
-            dups_eliminated: delta.total_dups_eliminated(),
-            sim_time: world.time() - time_at_start,
-            comm_time: world.comm_time() - comm_at_start,
-            list_unions: delta.setops.list_unions,
-            bitmap_unions: delta.setops.bitmap_unions,
-            densify_switches: delta.setops.densify_switches,
-            logical_bytes: delta.total_logical_bytes(),
-            wire_bytes: delta.total_wire_bytes(),
-            codec_time: world.codec_time() - codec_at_start,
-            // Bi-directional search alternates sides, not directions.
-            ..LevelStats::default()
-        });
         iter += 1;
     }
 
-    let reached: u64 = st_s.iter().map(|s| s.reached()).sum::<u64>()
-        + st_t.iter().map(|s| s.reached()).sum::<u64>();
+    let reached: u64 = st_s.iter().chain(&st_t).map(RankState::reached).sum();
     Ok(BidirResult {
         distance: (candidate != u64::MAX).then_some(candidate as u32),
-        stats: RunStats {
-            levels: level_records,
-            sim_time: world.time(),
-            comm_time: world.comm_time(),
-            compute_time: world.compute_time(),
-            codec_time: world.codec_time(),
-            reached,
-            comm: world.stats.clone(),
-            p,
-        },
+        stats: RunStats::from_world(world, level_records, reached),
     })
 }
 
@@ -296,6 +149,9 @@ mod tests {
             let mut world = SimWorld::bluegene(grid);
             let got = try_run(&graph, &mut world, &BfsConfig::default(), s, t).unwrap();
             assert_eq!(got.distance, expect, "s={s} t={t}");
+            // Every half-step probes (discover, absorb, meet detection),
+            // and the level records say so.
+            assert!(got.stats.total_probes() > 0, "s={s} t={t}");
         }
     }
 

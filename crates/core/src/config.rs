@@ -1,7 +1,8 @@
 //! BFS run configuration: which of the paper's strategies to use.
 
 use crate::engine::ComputeEngine;
-use bgl_graph::Vertex;
+use bgl_comm::{CommError, ProcessorGrid, MAX_LANES};
+use bgl_graph::{DistGraph, Vertex};
 use serde::{Deserialize, Serialize};
 
 /// How the expand operation (frontier → processor-column) communicates.
@@ -211,6 +212,55 @@ impl Default for BfsConfig {
     fn default() -> Self {
         Self::paper_optimized()
     }
+}
+
+/// One precondition of a public entry point, checked by
+/// [`check_inputs`].
+pub(crate) enum Input<'a> {
+    /// The world runs on this grid, which must be the graph's.
+    Grid(ProcessorGrid),
+    /// Vertices that must exist (`< n`).
+    Vertices(&'a [Vertex]),
+    /// A level array that must hold one label per vertex.
+    Levels(&'a [u32]),
+    /// A batch width (sources or path targets) that must fit one lane
+    /// mask.
+    Width(usize),
+    /// Algorithm 1 runs on the `1 × P` layout only.
+    OneD,
+    /// The threaded runtime carries targeted expand and direct
+    /// all-to-all fold only.
+    DirectExchange(&'a BfsConfig),
+}
+
+/// Check every input of a public entry point against `graph`, returning
+/// [`CommError::InvalidConfig`] for the first that fails instead of
+/// panicking later.
+pub(crate) fn check_inputs(graph: &DistGraph, inputs: &[Input<'_>]) -> Result<(), CommError> {
+    for input in inputs {
+        let reason = match *input {
+            Input::Grid(grid) if grid != graph.grid() => "world and graph grids must match",
+            Input::Vertices(vs) if vs.iter().any(|&v| v >= graph.spec.n) => {
+                "vertex out of range (must be < n)"
+            }
+            Input::Levels(levels) if levels.len() as u64 != graph.spec.n => {
+                "level array must hold one label per vertex"
+            }
+            Input::Width(w) if !(1..=MAX_LANES).contains(&w) => "batch width must be in 1..=64",
+            Input::OneD if graph.grid().rows() != 1 => {
+                "Algorithm 1 requires the 1 x P (1D) processor layout"
+            }
+            Input::DirectExchange(c)
+                if (c.expand, c.fold)
+                    != (ExpandStrategy::Targeted, FoldStrategy::DirectAllToAll) =>
+            {
+                "the threaded runtime runs targeted expand with direct all-to-all fold only"
+            }
+            _ => continue,
+        };
+        return Err(CommError::InvalidConfig { reason });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@
 //!   and the Figure 6.b 1D/2D crossover-degree solver;
 //! * [`state`] — the per-rank data structures (levels, frontier,
 //!   sent-neighbors cache, hash-probe accounting);
-//! * [`threaded_run`] — the same BFS on a real one-thread-per-rank
-//!   message-passing runtime, for engine cross-validation;
+//! * [`threaded_run`] — the same level step on a real one-thread-per-rank
+//!   message-passing runtime, for engine cross-validation (every search
+//!   and both runtimes share one implementation of each level phase);
 //! * [`mod@reference`] — the sequential oracle every variant is tested
 //!   against.
 //!
@@ -56,6 +57,7 @@ pub mod bfs2d;
 pub mod bidir;
 pub mod config;
 pub mod engine;
+mod level;
 pub mod memory;
 pub mod multi;
 pub mod parity;

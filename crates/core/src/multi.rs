@@ -28,6 +28,7 @@
 //! two-pointer unions, and all clock accounting happens in the serial
 //! collective layer — serial and rayon runs are bit-identical.
 
+use crate::config::{check_inputs, Input};
 use crate::engine::ComputeEngine;
 use crate::reference::UNREACHED;
 use crate::validate::{self, ValidationError, ValidationReport};
@@ -283,15 +284,15 @@ pub fn try_run(
     sources: &[Vertex],
 ) -> Result<MultiBfsResult, CommError> {
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
+    check_inputs(
+        graph,
+        &[
+            Input::Grid(grid),
+            Input::Width(sources.len()),
+            Input::Vertices(sources),
+        ],
+    )?;
     let lanes = sources.len();
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "batch must pack 1..=64 sources, got {lanes}"
-    );
-    for &s in sources {
-        assert!(s < graph.spec.n, "source {s} out of range");
-    }
     let p = grid.len();
     world.set_parallel_exchange(config.engine.parallel(p));
 

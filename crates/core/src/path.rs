@@ -21,9 +21,10 @@
 //! `O(distance)` rounds total, charged to the cost model like any other
 //! communication.
 
+use crate::config::{check_inputs, Input};
 use crate::reference::UNREACHED;
 use bgl_comm::collectives::lane::lane_exchange;
-use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, SimWorld, Vert, MAX_LANES};
+use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 use std::collections::BTreeMap;
 
@@ -40,12 +41,14 @@ pub fn try_extract_path(
     target: Vertex,
 ) -> Result<Option<Vec<Vertex>>, CommError> {
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert_eq!(
-        levels.len() as u64,
-        graph.spec.n,
-        "level array size mismatch"
-    );
+    check_inputs(
+        graph,
+        &[
+            Input::Grid(grid),
+            Input::Levels(levels),
+            Input::Vertices(&[source, target]),
+        ],
+    )?;
     if levels[target as usize] == UNREACHED {
         return Ok(None);
     }
@@ -158,7 +161,7 @@ pub struct MultiPathResult {
     pub comm_time: f64,
 }
 
-/// Extract up to [`MAX_LANES`] shortest paths from one BFS level array
+/// Extract up to [`MAX_LANES`](bgl_comm::MAX_LANES) shortest paths from one BFS level array
 /// in a single lane-masked batched walk: every target is a *lane* (bit
 /// `l` of a [`LaneMask`]) and all active lanes share each of the three
 /// per-hop control rounds of the [`try_extract_path`] protocol:
@@ -191,17 +194,16 @@ pub fn try_multi(
     config: &MultiPathConfig,
 ) -> Result<MultiPathResult, CommError> {
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert_eq!(
-        levels.len() as u64,
-        graph.spec.n,
-        "level array size mismatch"
-    );
-    assert!(
-        !targets.is_empty() && targets.len() <= MAX_LANES,
-        "batched walk takes 1..={MAX_LANES} targets, got {}",
-        targets.len()
-    );
+    check_inputs(
+        graph,
+        &[
+            Input::Grid(grid),
+            Input::Levels(levels),
+            Input::Width(targets.len()),
+            Input::Vertices(&[source]),
+            Input::Vertices(targets),
+        ],
+    )?;
     debug_assert_eq!(
         levels[source as usize], 0,
         "levels must be rooted at source"

@@ -1,7 +1,7 @@
 //! Per-run and per-level BFS statistics — the quantities the paper's
 //! evaluation section plots and tabulates.
 
-use bgl_comm::{CommStats, OpClass};
+use bgl_comm::{CommStats, OpClass, SimWorld};
 use serde::{Deserialize, Serialize};
 
 /// Which traversal direction a level actually ran (the
@@ -108,6 +108,21 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The world's cumulative clocks and counters, with `levels` as the
+    /// per-level records and `reached` labeled vertices.
+    pub(crate) fn from_world(world: &SimWorld, levels: Vec<LevelStats>, reached: u64) -> Self {
+        Self {
+            levels,
+            sim_time: world.time(),
+            comm_time: world.comm_time(),
+            compute_time: world.compute_time(),
+            codec_time: world.codec_time(),
+            reached,
+            comm: world.stats.clone(),
+            p: world.p(),
+        }
+    }
+
     /// Number of levels executed.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -207,20 +222,7 @@ mod tests {
                 .map(|l| LevelStats {
                     level: l as u32,
                     frontier: 1,
-                    expand_received: 0,
-                    fold_received: 0,
-                    dups_eliminated: 0,
-                    sim_time: 0.0,
-                    comm_time: 0.0,
-                    list_unions: 0,
-                    bitmap_unions: 0,
-                    densify_switches: 0,
-                    logical_bytes: 0,
-                    wire_bytes: 0,
-                    codec_time: 0.0,
-                    direction: LevelDirection::TopDown,
-                    td_probes: 0,
-                    bu_probes: 0,
+                    ..LevelStats::default()
                 })
                 .collect(),
             sim_time: 0.0,

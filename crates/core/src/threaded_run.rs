@@ -1,29 +1,36 @@
 //! The 2D BFS on the real multi-threaded SPMD runtime.
 //!
-//! One OS thread per rank drives the *same* per-rank state machine as
-//! the superstep simulator (targeted expand, direct all-to-all fold),
-//! with genuine concurrent message passing. Exists to validate the
-//! simulator against a real parallel execution and to power examples
-//! that want actual parallelism; no cost model applies.
+//! One OS thread per rank runs the *same* level step as the superstep
+//! simulator (`level::step`), with one rank per call and genuine
+//! concurrent message passing: [`RankCtx`] is the step's second
+//! exchange, next to the simulator's. The two runtimes differ only in
+//! how an exchange is carried out; no cost model applies here. Exists
+//! to validate the simulator against a real parallel execution and to
+//! power examples that want actual parallelism.
 //!
-//! [`run_threaded`] is the one entry point; a [`ThreadedConfig`]
-//! selects the sent-neighbors cache, a [`FaultPlan`], a wire codec,
-//! tracing and the direction policy. Under a fault plan, lossy
-//! exchanges retransmit (counted per rank in [`FaultStats`]), and a
-//! scheduled rank death aborts every rank at the same superstep with a
-//! typed [`CommError`]. Because both runtimes derive faults from the
-//! same pure hash of `(seed, class, round, from, to)`, a run here
-//! injects the *same* fault schedule as the simulator — the
-//! cross-runtime determinism the fault tests assert.
+//! [`run_threaded`] takes the same [`BfsConfig`] as
+//! [`crate::bfs2d::try_run`] (sent-neighbors cache, direction policy,
+//! target, level cap). The runtime has exchanges for targeted expand
+//! and direct all-to-all fold only; any other strategy returns
+//! [`CommError::InvalidConfig`] from every rank. A [`ThreadedConfig`]
+//! holds the runtime's own options: a [`FaultPlan`], a wire codec and
+//! tracing. Under a fault plan, lossy exchanges retransmit (counted per
+//! rank in [`FaultStats`]), and a scheduled rank death aborts every
+//! rank at the same superstep with a typed [`CommError`]. Because both
+//! runtimes derive faults from the same pure hash of `(seed, class,
+//! round, from, to)`, a run here injects the *same* fault schedule as
+//! the simulator — the cross-runtime determinism the fault tests
+//! assert.
 
-use crate::config::{DirectionMode, DirectionPolicy};
+use crate::config::{check_inputs, BfsConfig, Input};
+use crate::level::{self, Exchange, Lists, Sends};
 use crate::reference::UNREACHED;
 use crate::state::RankState;
 use crate::stats::LevelDirection;
-use bgl_comm::threaded::ThreadedWorld;
+use bgl_comm::threaded::{RankCtx, ThreadedWorld};
 use bgl_comm::{
-    CommError, FaultPlan, FaultStats, OpClass, Phase, Vert, VertSet, VsetPolicy, WireCount,
-    WirePolicy,
+    CommError, FaultPlan, FaultStats, OpClass, Phase, ProcessorGrid, VertSet, VsetPolicy,
+    WireCount, WirePolicy,
 };
 use bgl_graph::{DistGraph, Vertex};
 use bgl_trace::{TraceBuffer, TraceDetail};
@@ -53,12 +60,10 @@ pub struct RankOutcome {
     pub trace: Option<TraceBuffer>,
 }
 
-/// Options of a threaded run. The default is a fault-free, top-down,
-/// raw-wire, untraced run with the sent-neighbors cache on.
-#[derive(Debug, Clone)]
+/// The threaded runtime's own options. The default is a fault-free,
+/// raw-wire, untraced run.
+#[derive(Debug, Clone, Default)]
 pub struct ThreadedConfig {
-    /// Use the sent-neighbors cache (§2.4).
-    pub sent_neighbors: bool,
     /// Faults to inject. A lossy exchange retransmits; a rank death
     /// aborts every rank with [`CommError::RankDead`].
     pub faults: FaultPlan,
@@ -70,24 +75,6 @@ pub struct ThreadedConfig {
     /// wall-clock spans for the same collective phases the simulator
     /// traces, so the two runtimes compare span set against span set.
     pub trace: Option<TraceDetail>,
-    /// Per-level direction choice, from the same allreduce and integer
-    /// thresholds as the simulator. Bottom-up levels replace the
-    /// targeted expand with a neighbour-only frontier ring over the
-    /// processor column, with the simulator's empty-pieces-are-not-sent
-    /// convention so fault schedules stay aligned across runtimes.
-    pub direction: DirectionPolicy,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        Self {
-            sent_neighbors: true,
-            faults: FaultPlan::none(),
-            wire: WirePolicy::raw(),
-            trace: None,
-            direction: DirectionPolicy::top_down(),
-        }
-    }
 }
 
 /// Assemble the global level array from every rank's outcome, or
@@ -105,143 +92,112 @@ pub fn assemble_levels(
     Ok(levels)
 }
 
-/// Run a BFS from `source` using one thread per rank. Each rank reports
-/// its own outcome: the labels it computed plus its counters, or the
-/// typed error that aborted it.
+/// Run a BFS from `source` under `config` using one thread per rank.
+/// Each rank reports its own outcome: the labels it computed plus its
+/// counters, or the typed error that aborted it.
 pub fn run_threaded(
     graph: &DistGraph,
     source: Vertex,
-    config: &ThreadedConfig,
+    config: &BfsConfig,
+    runtime: &ThreadedConfig,
 ) -> Vec<Result<RankOutcome, CommError>> {
     let grid = graph.grid();
-    assert!(source < graph.spec.n);
-
-    let direction = config.direction;
-    ThreadedWorld::run_with(grid, config.faults.clone(), |ctx| {
-        let rank = ctx.rank();
-        ctx.set_wire_policy(config.wire);
-        if let Some(detail) = config.trace {
+    if let Err(e) = check_inputs(
+        graph,
+        &[Input::Vertices(&[source]), Input::DirectExchange(config)],
+    ) {
+        return vec![Err(e); grid.len()];
+    }
+    ThreadedWorld::run_with(grid, runtime.faults.clone(), |ctx| {
+        ctx.set_wire_policy(runtime.wire);
+        if let Some(detail) = runtime.trace {
             ctx.enable_trace(detail);
         }
-        let mut st = RankState::new(&graph.ranks[rank], graph.partition, config.sent_neighbors);
-        st.init_source(source);
-        let mut directions: Vec<LevelDirection> = Vec::new();
-
-        let mut level: u32 = 0;
-        loop {
-            let t_level = ctx.trace_now();
-            // Termination allreduce; widened to 3 words when direction
-            // optimization is on (same single control round).
-            let (global_frontier, bottom_up) = if direction.mode == DirectionMode::TopDown {
-                (ctx.allreduce_sum(st.frontier_len())?, false)
-            } else {
-                let (gf, mf, mu) =
-                    ctx.allreduce_sum3(st.frontier_len(), st.frontier_degree(), st.unexplored())?;
-                let bu = direction.wants_bottom_up(gf, mf, mu, graph.spec.n, grid.rows() as u64);
-                (gf, bu)
-            };
-            ctx.trace_span(Phase::Termination, level, t_level);
-            if global_frontier == 0 {
-                break;
-            }
-            let blocks = if bottom_up {
-                // Frontier gather: (R-1)-step neighbour ring within the
-                // processor column, unioning pieces into a hybrid set.
-                // Empty pieces are not sent — absence of a message is
-                // the empty piece, exactly as in the simulator.
-                let t_gather = ctx.trace_now();
-                let (i, j) = grid.position_of(rank);
-                let succ = grid.rank_of((i + 1) % grid.rows(), j);
-                let policy = VsetPolicy::hybrid();
-                let mut gathered = VertSet::from_sorted(st.frontier.clone());
-                let mut piece: Vec<Vert> = st.frontier.clone();
-                for _ in 0..grid.rows().saturating_sub(1) {
-                    let sends = if piece.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![(succ, piece.clone())]
-                    };
-                    let mut inbox = ctx.exchange(OpClass::Expand, sends)?;
-                    debug_assert!(inbox.len() <= 1, "ring delivers at most one piece");
-                    if let Some((_, pl)) = inbox.pop() {
-                        let dups = gathered.union_in(&pl, &policy);
-                        debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
-                        piece = pl;
-                    } else {
-                        piece.clear();
-                    }
-                }
-                ctx.trace_span(Phase::Gather, level, t_gather);
-                let t_discover = ctx.trace_now();
-                let blocks = st.discover_bottom_up(&gathered);
-                ctx.trace_span(Phase::Discover, level, t_discover);
-                blocks
-            } else {
-                // Expand (targeted) — one world round.
-                let t_expand = ctx.trace_now();
-                let sends: Vec<(usize, Vec<Vert>)> = st.expand_sends_targeted();
-                let fbar = ctx.exchange(OpClass::Expand, sends)?;
-                ctx.trace_span(Phase::Expand, level, t_expand);
-                let t_discover = ctx.trace_now();
-                let fbar_refs: Vec<&[Vert]> = fbar.iter().map(|(_, pl)| pl.as_slice()).collect();
-                let blocks = st.discover(&fbar_refs);
-                drop(fbar_refs);
-                ctx.trace_span(Phase::Discover, level, t_discover);
-                for (_, pl) in fbar {
-                    ctx.scratch_put(pl);
-                }
-                blocks
-            };
-            directions.push(if bottom_up {
-                LevelDirection::BottomUp
-            } else {
-                LevelDirection::TopDown
-            });
-            // Fold (direct all-to-all) — one world round.
-            let t_fold = ctx.trace_now();
-            let i = grid.row_of(rank);
-            let sends: Vec<(usize, Vec<Vert>)> = blocks
-                .into_iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(m, b)| (grid.rank_of(i, m), b))
-                .collect();
-            let nbar = ctx.exchange(OpClass::Fold, sends)?;
-            ctx.trace_span(Phase::Fold, level, t_fold);
-            let t_absorb = ctx.trace_now();
-            let nbar_refs: Vec<&[Vert]> = nbar.iter().map(|(_, pl)| pl.as_slice()).collect();
-            st.absorb(&nbar_refs, level + 1);
-            drop(nbar_refs);
-            for (_, pl) in nbar {
-                ctx.scratch_put(pl);
-            }
-            ctx.trace_span(Phase::Absorb, level, t_absorb);
-            ctx.trace_span(Phase::Level, level, t_level);
-            level += 1;
-        }
+        let mut st = [RankState::new(
+            &graph.ranks[ctx.rank()],
+            graph.partition,
+            config.sent_neighbors,
+        )];
+        st[0].init_source(source);
+        let records = level::run(ctx, &mut st, config, graph.spec.n)?;
+        let [st] = st;
         Ok(RankOutcome {
             owned_start: st.rank_graph().owned.start,
             levels: st.levels,
             scratch_reuses: ctx.scratch_reuses(),
             expand_wire: ctx.wire_count(OpClass::Expand),
             fold_wire: ctx.wire_count(OpClass::Fold),
-            directions,
+            directions: records.iter().map(|r| r.direction).collect(),
             faults: ctx.faults,
             trace: ctx.take_trace(),
         })
     })
 }
 
+/// One rank per call: every per-rank slice holds this rank's entry.
+/// No cost model, so probes go uncharged and level records keep only
+/// their frontier, direction and probe fields.
+impl Exchange for RankCtx {
+    fn grid(&self) -> ProcessorGrid {
+        RankCtx::grid(self)
+    }
+    fn now(&self) -> f64 {
+        self.trace_now()
+    }
+    fn span(&mut self, phase: Phase, level: u32, t0: f64) {
+        self.trace_span(phase, level, t0);
+    }
+    fn sum(&mut self, vals: &[u64]) -> Result<u64, CommError> {
+        self.allreduce_sum(vals[0])
+    }
+    fn sum3(&mut self, a: &[u64], b: &[u64], c: &[u64]) -> Result<(u64, u64, u64), CommError> {
+        self.allreduce_sum3(a[0], b[0], c[0])
+    }
+    fn alltoallv(&mut self, class: OpClass, sends: Vec<Sends>) -> Result<Vec<Lists>, CommError> {
+        let inbox = self.exchange(class, sends.into_iter().flatten().collect())?;
+        Ok(vec![inbox.into_iter().map(|(_, pl)| pl).collect()])
+    }
+    /// An (R-1)-step neighbour ring within the processor column. Empty
+    /// pieces are not sent: absence of a message is the empty piece,
+    /// as in the simulator's collective.
+    fn frontier_gather(&mut self, frontiers: Lists) -> Result<Vec<VertSet>, CommError> {
+        let mut piece = frontiers.concat();
+        let grid = RankCtx::grid(self);
+        let (i, j) = grid.position_of(self.rank());
+        let succ = grid.rank_of((i + 1) % grid.rows(), j);
+        let mut gathered = VertSet::from_sorted(piece.clone());
+        for _ in 1..grid.rows() {
+            let sends = if piece.is_empty() {
+                vec![]
+            } else {
+                vec![(succ, piece)]
+            };
+            piece = self
+                .exchange(OpClass::Expand, sends)?
+                .pop()
+                .map(|(_, pl)| pl)
+                .unwrap_or_default();
+            let dups = gathered.union_in(&piece, &VsetPolicy::hybrid());
+            debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
+        }
+        Ok(vec![gathered])
+    }
+    fn release(&mut self, payloads: Lists) {
+        payloads.into_iter().for_each(|pl| self.scratch_put(pl));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BfsConfig;
+    use crate::config::DirectionPolicy;
     use crate::reference;
     use bgl_comm::{ProcessorGrid, SimWorld};
     use bgl_graph::GraphSpec;
 
-    fn levels_of(graph: &DistGraph, source: Vertex, config: &ThreadedConfig) -> Vec<u32> {
-        assemble_levels(graph.spec.n, &run_threaded(graph, source, config)).unwrap()
+    fn levels_of(graph: &DistGraph, source: Vertex, config: &BfsConfig) -> Vec<u32> {
+        let outs = run_threaded(graph, source, config, &ThreadedConfig::default());
+        assemble_levels(graph.spec.n, &outs).unwrap()
     }
 
     #[test]
@@ -251,7 +207,7 @@ mod tests {
         let expect = reference::bfs_levels(&adj, 0);
         for (r, c) in [(1, 1), (2, 2), (2, 3), (4, 2)] {
             let graph = DistGraph::build(spec, ProcessorGrid::new(r, c));
-            let got = levels_of(&graph, 0, &ThreadedConfig::default());
+            let got = levels_of(&graph, 0, &BfsConfig::baseline_alltoall());
             assert_eq!(got, expect, "grid {r}x{c}");
         }
     }
@@ -263,7 +219,7 @@ mod tests {
         let spec = GraphSpec::poisson(500, 5.0, 71);
         let grid = ProcessorGrid::new(3, 3);
         let graph = DistGraph::build(spec, grid);
-        let threaded = levels_of(&graph, 7, &ThreadedConfig::default());
+        let threaded = levels_of(&graph, 7, &BfsConfig::baseline_alltoall());
         let mut world = SimWorld::bluegene(grid);
         let sim =
             crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7).unwrap();
@@ -276,7 +232,12 @@ mod tests {
         // the per-rank pool instead of allocating fresh ones each round.
         let spec = GraphSpec::poisson(400, 6.0, 51);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        let outs = run_threaded(&graph, 0, &ThreadedConfig::default());
+        let outs = run_threaded(
+            &graph,
+            0,
+            &BfsConfig::baseline_alltoall(),
+            &ThreadedConfig::default(),
+        );
         let total: u64 = outs
             .into_iter()
             .map(|o| o.expect("fault-free").scratch_reuses)
@@ -290,9 +251,9 @@ mod tests {
         let adj = bgl_graph::dist::adjacency(&spec);
         let expect = reference::bfs_levels(&adj, 3);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        let config = ThreadedConfig {
+        let config = BfsConfig {
             sent_neighbors: false,
-            ..ThreadedConfig::default()
+            ..BfsConfig::baseline_alltoall()
         };
         assert_eq!(levels_of(&graph, 3, &config), expect);
     }
@@ -313,11 +274,12 @@ mod tests {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        let config = ThreadedConfig {
+        let config = BfsConfig::baseline_alltoall();
+        let runtime = ThreadedConfig {
             faults: plan.clone(),
             ..ThreadedConfig::default()
         };
-        let outs = run_threaded(&graph, 0, &config);
+        let outs = run_threaded(&graph, 0, &config, &runtime);
         let levels = assemble_levels(graph.spec.n, &outs).expect("message faults are transparent");
         let mut total = FaultStats::default();
         for out in outs.iter().flatten() {
@@ -327,8 +289,7 @@ mod tests {
         assert!(total.retransmissions > 0);
 
         let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
-        let sim =
-            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
+        let sim = crate::bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         assert_eq!(sim.levels, expect);
         assert_eq!(total, sim.stats.comm.faults);
     }
@@ -346,11 +307,12 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
 
-        let config = ThreadedConfig {
+        let config = BfsConfig::baseline_alltoall();
+        let runtime = ThreadedConfig {
             wire: WirePolicy::auto(),
             ..ThreadedConfig::default()
         };
-        let outs = run_threaded(&graph, 0, &config);
+        let outs = run_threaded(&graph, 0, &config, &runtime);
         let levels = assemble_levels(graph.spec.n, &outs).expect("fault-free");
         let mut expand = WireCount::default();
         let mut fold = WireCount::default();
@@ -363,8 +325,7 @@ mod tests {
         assert_eq!(levels, expect);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let sim =
-            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
+        let sim = crate::bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         assert_eq!(sim.levels, expect);
         let se = sim.stats.comm.class(OpClass::Expand);
         let sf = sim.stats.comm.class(OpClass::Fold);
@@ -399,11 +360,7 @@ mod tests {
             "expected at least one bottom-up level"
         );
 
-        let threaded = ThreadedConfig {
-            direction: config.direction,
-            ..ThreadedConfig::default()
-        };
-        let outs = run_threaded(&graph, 0, &threaded);
+        let outs = run_threaded(&graph, 0, &config, &ThreadedConfig::default());
         for out in outs.iter().flatten() {
             assert_eq!(out.directions, sim_dirs, "per-level direction vector");
         }
@@ -416,11 +373,11 @@ mod tests {
         let spec = GraphSpec::poisson(200, 5.0, 21);
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
-        let config = ThreadedConfig {
+        let runtime = ThreadedConfig {
             faults: FaultPlan::seeded(9).kill_rank_at(2, 3),
             ..ThreadedConfig::default()
         };
-        let outs = run_threaded(&graph, 0, &config);
+        let outs = run_threaded(&graph, 0, &BfsConfig::baseline_alltoall(), &runtime);
         assert_eq!(outs.len(), 4);
         for out in outs {
             assert_eq!(out.unwrap_err(), CommError::RankDead { rank: 2 });

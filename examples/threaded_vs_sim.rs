@@ -1,7 +1,7 @@
-//! Engine cross-validation demo: the same distributed BFS executed by
-//! (a) the deterministic superstep simulator and (b) a real
-//! one-thread-per-rank message-passing runtime, producing identical
-//! labels.
+//! Engine cross-validation demo: the same level step and the same
+//! `BfsConfig` executed by (a) the deterministic superstep simulator and
+//! (b) a real one-thread-per-rank message-passing runtime, producing
+//! identical labels.
 //!
 //! ```sh
 //! cargo run --release --example threaded_vs_sim
@@ -25,12 +25,15 @@ fn main() {
     let graph = DistGraph::build(spec, grid);
 
     let t0 = Instant::now();
+    // The threaded runtime runs targeted expand with direct all-to-all
+    // fold; both runtimes take the same config.
+    let config = BfsConfig::baseline_alltoall();
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
+    let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
     let sim_wall = t0.elapsed();
 
     let t0 = Instant::now();
-    let outcomes = run_threaded(&graph, 0, &ThreadedConfig::default());
+    let outcomes = run_threaded(&graph, 0, &config, &ThreadedConfig::default());
     let threaded = assemble_levels(spec.n, &outcomes).unwrap();
     let threaded_wall = t0.elapsed();
 

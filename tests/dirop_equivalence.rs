@@ -139,19 +139,14 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let config = ThreadedConfig {
+        let config = BfsConfig::baseline_alltoall().with_direction(DirectionPolicy::adaptive());
+        let runtime = ThreadedConfig {
             wire: WirePolicy::auto(),
-            direction: DirectionPolicy::adaptive(),
             ..ThreadedConfig::default()
         };
-        let outs = threaded_run::run_threaded(&graph, 0, &config);
+        let outs = threaded_run::run_threaded(&graph, 0, &config, &runtime);
         let (levels, directions) = gather_threaded(&graph, outs);
 
-        let config = BfsConfig {
-            sent_neighbors: true,
-            ..BfsConfig::baseline_alltoall()
-        }
-        .with_direction(DirectionPolicy::adaptive());
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
         let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);

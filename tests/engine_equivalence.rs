@@ -8,8 +8,8 @@ use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePoli
 use proptest::prelude::*;
 
 /// A fault-free threaded run's global levels.
-fn threaded_levels(graph: &DistGraph, source: u64, config: &ThreadedConfig) -> Vec<u32> {
-    let outs = threaded_run::run_threaded(graph, source, config);
+fn threaded_levels(graph: &DistGraph, source: u64, config: &BfsConfig) -> Vec<u32> {
+    let outs = threaded_run::run_threaded(graph, source, config, &ThreadedConfig::default());
     threaded_run::assemble_levels(graph.spec.n, &outs).expect("fault-free run")
 }
 
@@ -47,16 +47,12 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let config = ThreadedConfig {
-            sent_neighbors: sent,
-            ..ThreadedConfig::default()
-        };
-        let threaded = threaded_levels(&graph, 0, &config);
-        let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig {
             sent_neighbors: sent,
             ..BfsConfig::baseline_alltoall()
         };
+        let threaded = threaded_levels(&graph, 0, &config);
+        let mut world = SimWorld::bluegene(grid);
         let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(threaded, sim.levels);
     }
@@ -68,9 +64,10 @@ fn engines_agree_on_wide_grid() {
     let spec = GraphSpec::poisson(2_000, 8.0, 77);
     let grid = ProcessorGrid::new(4, 6);
     let graph = DistGraph::build(spec, grid);
-    let threaded = threaded_levels(&graph, 19, &ThreadedConfig::default());
+    let config = BfsConfig::baseline_alltoall();
+    let threaded = threaded_levels(&graph, 19, &config);
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 19).unwrap();
+    let sim = bfs2d::try_run(&graph, &mut world, &config, 19).unwrap();
     assert_eq!(threaded, sim.levels);
 }
 
@@ -168,16 +165,15 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let config = ThreadedConfig {
-            sent_neighbors: sent,
+        let config = BfsConfig { sent_neighbors: sent, ..BfsConfig::baseline_alltoall() };
+        let runtime = ThreadedConfig {
             wire: WirePolicy::auto(),
             ..ThreadedConfig::default()
         };
-        let outs = threaded_run::run_threaded(&graph, 0, &config);
+        let outs = threaded_run::run_threaded(&graph, 0, &config, &runtime);
         let (levels, expand, fold) = gather_threaded(&graph, outs);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let config = BfsConfig { sent_neighbors: sent, ..BfsConfig::baseline_alltoall() };
         let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);
 
@@ -227,7 +223,7 @@ fn repeated_threaded_runs_are_deterministic() {
     let spec = GraphSpec::poisson(800, 6.0, 13);
     let grid = ProcessorGrid::new(3, 3);
     let graph = DistGraph::build(spec, grid);
-    let config = ThreadedConfig::default();
+    let config = BfsConfig::baseline_alltoall();
     let first = threaded_levels(&graph, 0, &config);
     for _ in 0..5 {
         assert_eq!(threaded_levels(&graph, 0, &config), first);

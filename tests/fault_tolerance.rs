@@ -106,11 +106,12 @@ fn sim_and_threaded_runtimes_share_the_fault_schedule() {
             .with_duplicate_prob(0.05);
 
         // Threaded runtime: sum per-rank fault counters.
-        let config = ThreadedConfig {
+        let config = BfsConfig::baseline_alltoall();
+        let runtime = ThreadedConfig {
             faults: plan.clone(),
             ..ThreadedConfig::default()
         };
-        let outcomes = threaded_run::run_threaded(&graph, 1, &config);
+        let outcomes = threaded_run::run_threaded(&graph, 1, &config, &runtime);
         let threaded_levels = threaded_run::assemble_levels(spec.n, &outcomes)
             .expect("lossy-but-alive run must complete");
         let mut faults = FaultStats::default();
@@ -121,8 +122,8 @@ fn sim_and_threaded_runtimes_share_the_fault_schedule() {
 
         // Simulator on the same plan: identical schedule, same counts.
         let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
-        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1)
-            .expect("lossy sim run must complete");
+        let r =
+            bfs2d::try_run(&graph, &mut world, &config, 1).expect("lossy sim run must complete");
         assert_eq!(r.levels, oracle);
         assert_eq!(r.stats.comm.faults, faults, "seed {seed}");
         assert!(faults.drops_injected > 0, "the plan must actually fire");
@@ -147,12 +148,13 @@ fn wire_codec_composes_with_lossy_links() {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        let config = ThreadedConfig {
+        let config = BfsConfig::baseline_alltoall();
+        let runtime = ThreadedConfig {
             faults: plan.clone(),
             wire: WirePolicy::auto(),
             ..ThreadedConfig::default()
         };
-        let outcomes = threaded_run::run_threaded(&graph, 1, &config);
+        let outcomes = threaded_run::run_threaded(&graph, 1, &config, &runtime);
         let threaded_levels = threaded_run::assemble_levels(spec.n, &outcomes)
             .expect("lossy-but-alive run must complete");
         let mut expand = WireCount::default();
@@ -170,8 +172,8 @@ fn wire_codec_composes_with_lossy_links() {
         let mut world = SimWorld::bluegene(grid)
             .with_fault_plan(plan)
             .with_wire_policy(WirePolicy::auto());
-        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1)
-            .expect("lossy sim run must complete");
+        let r =
+            bfs2d::try_run(&graph, &mut world, &config, 1).expect("lossy sim run must complete");
         assert_eq!(r.levels, oracle);
         assert_eq!(r.stats.comm.faults.retransmissions, retrans, "seed {seed}");
         assert!(retrans > 0, "the plan must actually fire");
@@ -401,4 +403,56 @@ fn recovery_traffic_pays_for_faults_on_the_control_channel() {
         a.result.stats.comm.received_per_rank,
         b.result.stats.comm.received_per_rank
     );
+}
+
+/// Bad inputs to every public search entry point come back as a typed
+/// `InvalidConfig` with the reason named, never as a panic: grid
+/// mismatch, vertex ≥ n, a level array of the wrong length, a batch
+/// width outside 1..=64, a non-1×P grid for Algorithm 1, and a strategy
+/// the threaded runtime has no exchange for (refused by every rank).
+#[test]
+fn bad_inputs_are_typed_errors_at_every_entry_point() {
+    use bgl_bfs::core::{bfs1d, bidir, multi, path, MultiConfig, MultiPathConfig};
+    let spec = GraphSpec::poisson(200, 5.0, 3);
+    let grid = ProcessorGrid::new(2, 2);
+    let g = DistGraph::build(spec, grid);
+    let line = DistGraph::build(spec, ProcessorGrid::one_d(4));
+    let (c, n) = (&BfsConfig::default(), spec.n);
+    let w = || SimWorld::bluegene(grid);
+    let w14 = || SimWorld::bluegene(ProcessorGrid::new(1, 4));
+    let w1d = || SimWorld::bluegene(line.grid());
+    let levels = &bfs2d::try_run(&g, &mut w(), c, 0).unwrap().levels;
+    let (mc, mp) = (&MultiConfig::default(), &MultiPathConfig::default());
+    let rc = &ResilientConfig::default();
+    let threaded = |source, config| {
+        let outs = threaded_run::run_threaded(&g, source, config, &ThreadedConfig::default());
+        let errs: Vec<CommError> = outs.into_iter().filter_map(Result::err).collect();
+        assert!(errs.len() == grid.len() && errs.windows(2).all(|e| e[0] == e[1]));
+        Err(errs[0])
+    };
+    // (entry point, what the reason must name, outcome)
+    #[rustfmt::skip]
+    let cases: [(&str, &str, Result<(), CommError>); 15] = [
+        ("bfs2d", "grids", bfs2d::try_run(&g, &mut w14(), c, 0).map(drop)),
+        ("bfs2d", "vertex", bfs2d::try_run(&g, &mut w(), c, n).map(drop)),
+        ("resilient", "vertex", bfs2d::run_resilient(&g, &mut w(), c, n, rc).map(drop)),
+        ("bfs1d", "1 x P", bfs1d::try_run(&g, &mut w(), c, 0).map(drop)),
+        ("bfs1d", "vertex", bfs1d::try_run(&line, &mut w1d(), c, n).map(drop)),
+        ("bidir", "vertex", bidir::try_run(&g, &mut w(), c, 0, n).map(drop)),
+        ("multi", "width", multi::try_run(&g, &mut w(), mc, &[]).map(drop)),
+        ("multi", "width", multi::try_run(&g, &mut w(), mc, &[0; 65]).map(drop)),
+        ("multi", "vertex", multi::try_run(&g, &mut w(), mc, &[1, n]).map(drop)),
+        ("path", "vertex", path::try_extract_path(&g, &mut w(), levels, 0, n).map(drop)),
+        ("path", "level array", path::try_extract_path(&g, &mut w(), &levels[1..], 0, 1).map(drop)),
+        ("multipath", "width", path::try_multi(&g, &mut w(), levels, 0, &[0; 65], mp).map(drop)),
+        ("multipath", "vertex", path::try_multi(&g, &mut w(), levels, 0, &[1, n], mp).map(drop)),
+        ("threaded", "vertex", threaded(n, &BfsConfig::baseline_alltoall())),
+        ("threaded", "threaded runtime", threaded(0, c)),
+    ];
+    for (entry, want, got) in cases {
+        match got {
+            Err(CommError::InvalidConfig { reason }) if reason.contains(want) => {}
+            other => panic!("{entry}: expected InvalidConfig naming {want:?}, got {other:?}"),
+        }
+    }
 }

@@ -72,7 +72,7 @@ fn disabled_tracing_is_free_and_never_perturbs_the_clock() {
 #[test]
 fn sim_and_threaded_runs_trace_identical_span_sets() {
     let (graph, grid) = setup(2_000, 5.0, 17, 2, 2);
-    // The threaded runtime hard-codes targeted expand + direct fold.
+    // The threaded runtime runs targeted expand + direct fold only.
     let config = BfsConfig::baseline_alltoall();
 
     let mut world = SimWorld::bluegene(grid);
@@ -80,12 +80,11 @@ fn sim_and_threaded_runs_trace_identical_span_sets() {
     let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
     let sim_buf = world.take_trace().unwrap();
 
-    let threaded = ThreadedConfig {
-        sent_neighbors: config.sent_neighbors,
+    let runtime = ThreadedConfig {
         trace: Some(TraceDetail::Span),
         ..ThreadedConfig::default()
     };
-    let outs = run_threaded(&graph, 0, &threaded);
+    let outs = run_threaded(&graph, 0, &config, &runtime);
     assert_eq!(sim.levels, assemble_levels(graph.spec.n, &outs).unwrap());
     // One buffer with rank r's recorder on track r.
     let mut thr_buf = TraceBuffer::new(grid.len(), DEFAULT_RING_CAPACITY);
