@@ -139,7 +139,7 @@ fn assert_golden(case: &str, stats: &bgl_bfs::core::RunStats, (clocks, levels): 
 #[test]
 fn golden_clocks_and_level_volumes_are_pinned() {
     use bgl_bfs::comm::{FaultPlan, WirePolicy};
-    use bgl_bfs::core::{bfs1d, bidir, ResilientConfig};
+    use bgl_bfs::core::{bfs1d, bidir, multi, path, MultiConfig, MultiPathConfig, ResilientConfig};
 
     let grid = ProcessorGrid::new(3, 3);
     let graph = DistGraph::build(GraphSpec::poisson(1_200, 8.0, 7), grid);
@@ -185,7 +185,36 @@ fn golden_clocks_and_level_volumes_are_pinned() {
     let graph = DistGraph::build(small, line);
     let one_d = bfs1d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
     assert_golden("bfs1d", &one_d.stats, BFS1D);
+
+    // Lane waves and the batched path walk, captured while lane waves
+    // still ran their own level loop: clock bits, probes, per-wave
+    // (vertex, lane) pairs and wire volume.
+    let rmat = DistGraph::build(GraphSpec::rmat(2_000, 8.0, 7), grid);
+    let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
+    let sources = [0, 17, 17, 999, 1_500];
+    let batch = multi::try_run(&rmat, &mut world, &MultiConfig::default(), &sources).unwrap();
+    let pairs: Vec<u64> = batch.waves.iter().map(|w| w.frontier_pairs).collect();
+    let got = (
+        [batch.sim_time, batch.comm_time].map(f64::to_bits),
+        batch.total_probes,
+        pairs.as_slice(),
+        world.stats.total_wire_bytes(),
+    );
+    assert_eq!(got, MULTI, "multi: clock bits, probes or volumes moved");
+
+    let levels = &batch.lane_levels[0];
+    let targets = [370, 183, 313, 17, 1_234, 3, 0, 1_999];
+    let mut world = SimWorld::bluegene(grid);
+    let cfg = MultiPathConfig::default();
+    let walk = path::try_multi(&rmat, &mut world, levels, 0, &targets, &cfg).unwrap();
+    let got = (walk.sim_time.to_bits(), walk.rounds, walk.hops);
+    assert_eq!(got, PATH_MULTI, "path: clock bits or rounds moved");
 }
+
+#[rustfmt::skip]
+const MULTI: ([u64; 2], u64, &[u64], u64) = ([0x3f4c844e52b0c5ac, 0x3f31445d70c34909], 27447, &[5, 525, 2545, 868, 25], 33725);
+#[rustfmt::skip]
+const PATH_MULTI: (u64, u64, u32) = (0x3f24e1823561547e, 12, 4);
 
 #[rustfmt::skip]
 const PAPER_OPTIMIZED: Golden = ([0x3f3b92d4dbd4f9c5, 0x3f34e8e3fe7f152f, 0x3f1aa7c37557925b], &[
