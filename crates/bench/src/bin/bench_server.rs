@@ -156,7 +156,6 @@ fn main() {
     let mut mworld = SimWorld::bluegene(grid).with_wire_policy(wire);
     let mcfg = multi::MultiConfig {
         engine: ComputeEngine::Auto,
-        ..multi::MultiConfig::default()
     };
     let mres = multi::try_run(&graph, &mut mworld, &mcfg, &gate_sources).unwrap();
     let mut lanes_identical = true;

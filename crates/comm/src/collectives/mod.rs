@@ -12,7 +12,7 @@
 //!
 //! | op     | strategy | module |
 //! |--------|----------|--------|
-//! | any    | direct all-to-all (`alltoallv`) | [`alltoall`] |
+//! | any    | direct all-to-all (`alltoallv`, vertex lists or lane sets) | [`alltoall`] |
 //! | expand | ring all-gather (send everything to everyone) | [`allgather`] |
 //! | expand | ring frontier gather with set union (bottom-up supersteps) | [`frontier`] |
 //! | fold   | ring reduce-scatter with set-union | [`reduce_scatter`] |
@@ -26,7 +26,6 @@
 pub mod allgather;
 pub mod alltoall;
 pub mod frontier;
-pub mod lane;
 pub mod reduce_scatter;
 pub mod two_phase;
 

@@ -12,11 +12,12 @@
 //! the sources back to back.
 //!
 //! On the wire a lane set travels as **two payloads in one exchange
-//! round** (see [`crate::collectives::lane`]): the vertex list is
+//! round** (its [`Payload`] framing): the vertex list is
 //! sorted, so it rides the delta/bitmap frames of the adaptive codec;
 //! the mask words are arbitrary `u64`s, which the codec's sortedness
 //! scan routes to raw frames — never mis-coded, still exactly charged.
 
+use crate::collectives::alltoall::Payload;
 use crate::Vert;
 
 /// Bitmask of lanes (bit `l` set ⇒ the vertex is in lane `l`).
@@ -147,12 +148,6 @@ impl LaneSet {
         dups
     }
 
-    /// Split into the two wire payloads: the sorted vertex list and the
-    /// mask words (masks reinterpreted as [`Vert`] — same 64-bit width).
-    pub fn into_payloads(self) -> (Vec<Vert>, Vec<Vert>) {
-        (self.verts, self.masks)
-    }
-
     /// Reassemble from the two wire payloads. Panics if the payloads
     /// disagree in length or the vertex list is not strictly ascending —
     /// either means a framing bug, not a data condition.
@@ -168,6 +163,26 @@ impl LaneSet {
         );
         debug_assert!(masks.iter().all(|&m| m != 0));
         LaneSet { verts, masks }
+    }
+}
+
+/// Two wire payloads: the sorted vertex list, then the mask words
+/// (reinterpreted as [`Vert`] — same 64-bit width).
+impl Payload for LaneSet {
+    fn is_empty(&self) -> bool {
+        LaneSet::is_empty(self)
+    }
+    fn into_parts(self) -> impl Iterator<Item = Vec<Vert>> {
+        [self.verts, self.masks].into_iter()
+    }
+    fn take(inbox: &mut impl Iterator<Item = (usize, Vec<Vert>)>) -> Option<(usize, Self)> {
+        let (from, verts) = inbox.next()?;
+        let (from_masks, masks) = inbox.next().unwrap_or((usize::MAX, Vec::new()));
+        assert_eq!(
+            from, from_masks,
+            "lane payload framing: vertex and mask payloads from different senders"
+        );
+        Some((from, LaneSet::from_payloads(verts, masks)))
     }
 }
 
@@ -218,8 +233,9 @@ mod tests {
     #[test]
     fn payload_roundtrip() {
         let s = LaneSet::from_pairs(vec![(10, 3), (20, 0x8000_0000_0000_0001), (30, 7)]);
-        let (verts, masks) = s.clone().into_payloads();
-        assert_eq!(LaneSet::from_payloads(verts, masks), s);
+        let mut parts = s.clone().into_parts().map(|pl| (3, pl));
+        assert_eq!(LaneSet::take(&mut parts), Some((3, s)));
+        assert!(parts.next().is_none());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! On top of the engines, [`collectives`] implements the communication
 //! patterns the paper studies:
 //!
-//! * targeted all-to-all (`alltoallv`) exchanges,
+//! * targeted all-to-all (`alltoallv`) exchanges of any [`Payload`]: vertex
+//!   lists, or the lane-masked sets of batched multi-source waves,
 //! * ring all-gather,
 //! * reduce-scatter with **set-union** reduction (the "union-fold"),
 //! * the §3.2.2 **two-phase grouped-ring** fold and expand, which split a
@@ -51,6 +52,7 @@ pub mod vset;
 pub mod wire;
 
 pub use buffer::{ChunkPolicy, ScratchPool};
+pub use collectives::alltoall::Payload;
 pub use error::CommError;
 pub use lane::{LaneMask, LaneSet, MAX_LANES};
 pub use sim::SimWorld;

@@ -17,7 +17,7 @@
 
 use crate::bfs2d::BfsResult;
 use crate::config::{check_inputs, BfsConfig, DirectionPolicy, Input};
-use crate::level::{self, Meter};
+use crate::level::{self, Meter, TopDown};
 use crate::state::{gather_levels, RankState};
 use crate::stats::RunStats;
 use bgl_comm::{CommError, Phase, SimWorld};
@@ -62,8 +62,9 @@ pub fn try_run(
         // (Algorithm 1 step 7). Edge lists are complete at the owner.
         let t_discover = world.time();
         let blocks = config.engine.map_mut(&mut states, |s| {
-            let f = std::mem::take(&mut s.frontier);
-            let out = s.discover(&[&f]);
+            let f = [std::mem::take(&mut s.frontier)];
+            let out = s.discover(&f);
+            let [f] = f;
             s.frontier = f;
             out
         });

@@ -47,7 +47,8 @@ use crate::level;
 use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
 use crate::stats::RunStats;
-use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert};
+use bgl_comm::collectives::alltoall;
+use bgl_comm::{CommError, EventKind, OpClass, Payload, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 
 /// The outcome of one distributed BFS run.
@@ -190,34 +191,31 @@ fn encode_entry(level: u32, verts: &[Vertex]) -> Vec<Vert> {
     entry
 }
 
-/// Per-rank control inboxes: for each rank, `(sender, payload)` pairs
-/// in stable sender order.
-type ControlInboxes = Vec<Vec<(usize, Vec<Vert>)>>;
-
 /// Run a control-network exchange with bounded retry: transient
 /// failures ([`CommError::Unreachable`], [`CommError::Timeout`]) charge
 /// exponential backoff and re-roll the control fault schedule (each
 /// attempt is a fresh control round); permanent errors propagate
 /// immediately. Returns the last transient error when `attempts` runs
-/// out.
-fn control_exchange_with_retry(
+/// out. Per-rank inboxes hold `(sender, message)` in sender order.
+pub(crate) fn control_exchange_with_retry<P: Payload + Clone>(
     world: &mut SimWorld,
-    sends: Vec<(usize, usize, Vec<Vert>)>,
+    sends: Vec<(usize, usize, P)>,
     attempts: u32,
-) -> Result<ControlInboxes, CommError> {
-    let mut last = None;
-    for retry in 0..attempts.max(1) {
-        match world.exchange(OpClass::Control, sends.clone()) {
+) -> Result<Vec<Vec<(usize, P)>>, CommError> {
+    let mut retry = 0;
+    loop {
+        match alltoall::exchange(world, OpClass::Control, sends.clone()) {
             Ok(inboxes) => return Ok(inboxes),
             Err(e @ (CommError::Unreachable { .. } | CommError::Timeout { .. })) => {
                 world.charge_recovery_backoff(retry);
-                last = Some(e);
+                retry += 1;
+                if retry >= attempts.max(1) {
+                    return Err(e);
+                }
             }
             Err(e) => return Err(e),
         }
     }
-    // bgl-lint: allow(r1, reason = "attempts.max(1) guarantees the loop body ran and set `last` before falling through")
-    Err(last.expect("attempts >= 1 so at least one attempt ran"))
 }
 
 /// After every absorb, append each rank's freshly labeled vertices (its

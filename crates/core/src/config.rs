@@ -221,8 +221,9 @@ pub(crate) enum Input<'a> {
     Grid(ProcessorGrid),
     /// Vertices that must exist (`< n`).
     Vertices(&'a [Vertex]),
-    /// A level array that must hold one label per vertex.
-    Levels(&'a [u32]),
+    /// A level array that must hold one label per vertex and be rooted
+    /// at the given source (label 0).
+    Levels(&'a [u32], Vertex),
     /// A batch width (sources or path targets) that must fit one lane
     /// mask.
     Width(usize),
@@ -243,8 +244,11 @@ pub(crate) fn check_inputs(graph: &DistGraph, inputs: &[Input<'_>]) -> Result<()
             Input::Vertices(vs) if vs.iter().any(|&v| v >= graph.spec.n) => {
                 "vertex out of range (must be < n)"
             }
-            Input::Levels(levels) if levels.len() as u64 != graph.spec.n => {
+            Input::Levels(levels, _) if levels.len() as u64 != graph.spec.n => {
                 "level array must hold one label per vertex"
+            }
+            Input::Levels(levels, source) if levels.get(source as usize) != Some(&0) => {
+                "level array must be rooted at the source"
             }
             Input::Width(w) if !(1..=MAX_LANES).contains(&w) => "batch width must be in 1..=64",
             Input::OneD if graph.grid().rows() != 1 => {

@@ -10,20 +10,49 @@
 //! runtime's (`RankCtx`, in [`crate::threaded_run`]) runs one rank per
 //! call. Per-rank arguments and results are indexed like `states`, so
 //! the two runtimes differ only in how an exchange is carried out.
+//!
+//! The top-down phases — targeted expand with discover, direct
+//! all-to-all fold with absorb, and the probe charge — are also generic
+//! over the per-rank state ([`TopDown`]): `RankState` exchanges vertex
+//! lists, the batched waves' `MultiRankState` exchanges lane sets.
+//! Bottom-up, the ring collectives and the union folds are
+//! `RankState`-only.
 
 use crate::config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
 use crate::engine::ComputeEngine;
 use crate::state::RankState;
 use crate::stats::{LevelDirection, LevelStats};
-use bgl_comm::collectives::{allgather, alltoall, frontier, reduce_scatter, two_phase, Groups};
-use bgl_comm::sim::Inbox;
-use bgl_comm::{CommError, CommStats, OpClass, Phase, ProcessorGrid, SimWorld, Vert, VertSet};
+use bgl_comm::collectives::alltoall::{self, SendList};
+use bgl_comm::collectives::{allgather, frontier, reduce_scatter, two_phase, Groups};
+use bgl_comm::{
+    CommError, CommStats, OpClass, Payload, Phase, ProcessorGrid, SimWorld, Vert, VertSet,
+};
 use bgl_graph::Vertex;
 
 /// Per rank: one vertex list per peer.
 pub(crate) type Lists = Vec<Vec<Vert>>;
-/// Per rank: `(destination rank, payload)` messages.
-pub(crate) type Sends = Vec<(usize, Vec<Vert>)>;
+
+/// A rank's top-down kernels over one message type. `discover` and
+/// `absorb` count one hash probe per received entry plus one per edge
+/// entry scanned; [`charge_probes`] takes them once per level.
+pub(crate) trait TopDown: Send {
+    /// What expand and fold messages carry.
+    type Payload: Payload + Send + Sync;
+    /// This rank's index.
+    fn rank(&self) -> usize;
+    /// Targeted expand (§2.2): each frontier vertex goes to every
+    /// processor-column peer whose partial edge list for it is
+    /// non-empty. Returns `(peer rank, message)` for non-empty messages.
+    fn expand_sends(&mut self) -> SendList<Self::Payload>;
+    /// Scan the partial edge lists of the received frontier F̄ and
+    /// return one fold block per processor-row peer (grid column).
+    fn discover(&mut self, fbar: &[Self::Payload]) -> Vec<Self::Payload>;
+    /// Label the unlabeled received vertices with `next_level`; they
+    /// become the new frontier. Returns the fresh labels.
+    fn absorb(&mut self, nbar: &[Self::Payload], next_level: u32) -> u64;
+    /// Take and reset the probe counter.
+    fn take_probes(&mut self) -> u64;
+}
 
 const NO_RING: CommError = CommError::InvalidConfig {
     reason: "this runtime has no ring collectives",
@@ -42,8 +71,12 @@ pub(crate) trait Exchange {
     fn sum(&mut self, vals: &[u64]) -> Result<u64, CommError>;
     /// Three global sums in one tree round.
     fn sum3(&mut self, a: &[u64], b: &[u64], c: &[u64]) -> Result<(u64, u64, u64), CommError>;
-    /// One targeted all-to-all round; each rank's payloads in sender order.
-    fn alltoallv(&mut self, class: OpClass, sends: Vec<Sends>) -> Result<Vec<Lists>, CommError>;
+    /// One targeted all-to-all round; each rank's messages in sender order.
+    fn alltoallv<P: Payload>(
+        &mut self,
+        class: OpClass,
+        sends: Vec<SendList<P>>,
+    ) -> Result<Vec<Vec<P>>, CommError>;
     /// Union of every column peer's frontier (bottom-up levels).
     fn frontier_gather(&mut self, frontiers: Lists) -> Result<Vec<VertSet>, CommError>;
     /// The ring collectives: the simulator's only.
@@ -59,8 +92,8 @@ pub(crate) trait Exchange {
     fn two_phase_fold(&mut self, _blocks: Vec<Lists>) -> Result<Vec<VertSet>, CommError> {
         Err(NO_RING)
     }
-    /// Hand back received payloads once consumed.
-    fn release(&mut self, _payloads: Lists) {}
+    /// Hand back received messages once consumed.
+    fn release<P: Payload>(&mut self, _messages: Vec<P>) {}
     /// Charge each rank's hash probes to the cost model, if any.
     fn charge_probes(&mut self, _probes: &[u64]) {}
     /// The cost model's clocks and counters, if any.
@@ -81,8 +114,9 @@ pub(crate) struct Mark {
     stats: CommStats,
 }
 
-fn payloads(inboxes: Vec<Inbox>) -> Vec<Lists> {
-    let senders = |inbox: Inbox| inbox.into_iter().map(|(_, pl)| pl).collect();
+/// Drop the senders from per-rank inboxes.
+fn messages<P>(inboxes: Vec<Vec<(usize, P)>>) -> Vec<Vec<P>> {
+    let senders = |inbox: Vec<(usize, P)>| inbox.into_iter().map(|(_, msg)| msg).collect();
     inboxes.into_iter().map(senders).collect()
 }
 
@@ -102,12 +136,16 @@ impl Exchange for SimWorld {
     fn sum3(&mut self, a: &[u64], b: &[u64], c: &[u64]) -> Result<(u64, u64, u64), CommError> {
         Ok(self.allreduce_sum3(a, b, c))
     }
-    fn alltoallv(&mut self, class: OpClass, sends: Vec<Sends>) -> Result<Vec<Lists>, CommError> {
+    fn alltoallv<P: Payload>(
+        &mut self,
+        class: OpClass,
+        sends: Vec<SendList<P>>,
+    ) -> Result<Vec<Vec<P>>, CommError> {
         let groups = match class {
             OpClass::Expand => Groups::cols_of(self.grid()),
             _ => Groups::rows_of(self.grid()),
         };
-        alltoall::alltoallv(self, class, &groups, sends).map(payloads)
+        alltoall::alltoallv(self, class, &groups, sends).map(messages)
     }
     fn frontier_gather(&mut self, frontiers: Lists) -> Result<Vec<VertSet>, CommError> {
         let cols = Groups::cols_of(self.grid());
@@ -115,11 +153,11 @@ impl Exchange for SimWorld {
     }
     fn allgather_ring(&mut self, frontiers: Lists) -> Result<Vec<Lists>, CommError> {
         let cols = Groups::cols_of(self.grid());
-        allgather::allgather_ring(self, OpClass::Expand, &cols, frontiers).map(payloads)
+        allgather::allgather_ring(self, OpClass::Expand, &cols, frontiers).map(messages)
     }
     fn two_phase_expand(&mut self, frontiers: Lists) -> Result<Vec<Lists>, CommError> {
         let cols = Groups::cols_of(self.grid());
-        two_phase::two_phase_expand(self, OpClass::Expand, &cols, frontiers).map(payloads)
+        two_phase::two_phase_expand(self, OpClass::Expand, &cols, frontiers).map(messages)
     }
     fn reduce_scatter_union(&mut self, blocks: Vec<Lists>) -> Result<Vec<VertSet>, CommError> {
         let rows = Groups::rows_of(self.grid());
@@ -192,19 +230,30 @@ impl Meter {
         n: u64,
     ) -> Result<(u64, bool), CommError> {
         let sizes: Vec<u64> = states.iter().map(RankState::frontier_len).collect();
-        let out = if direction.mode == DirectionMode::TopDown {
-            (x.sum(&sizes)?, false)
-        } else {
-            let mf: Vec<u64> = states.iter().map(RankState::frontier_degree).collect();
-            let mu: Vec<u64> = states.iter().map(RankState::unexplored).collect();
-            let (gf, mf, mu) = x.sum3(&sizes, &mf, &mu)?;
-            (
-                gf,
-                direction.wants_bottom_up(gf, mf, mu, n, x.grid().rows() as u64),
-            )
-        };
+        if direction.mode == DirectionMode::TopDown {
+            let gf = x.sum(&sizes)?;
+            x.span(Phase::Termination, self.level, self.t0);
+            return Ok((gf, false));
+        }
+        let mf: Vec<u64> = states.iter().map(RankState::frontier_degree).collect();
+        let mu: Vec<u64> = states.iter().map(RankState::unexplored).collect();
+        let (gf, mf, mu) = self.terminate3(x, &sizes, &mf, &mu)?;
+        let rows = x.grid().rows() as u64;
+        Ok((gf, direction.wants_bottom_up(gf, mf, mu, n, rows)))
+    }
+
+    /// A termination round of three words (one tree round): the global
+    /// sums of `a`, `b` and `c`.
+    pub(crate) fn terminate3(
+        &self,
+        x: &mut impl Exchange,
+        a: &[u64],
+        b: &[u64],
+        c: &[u64],
+    ) -> Result<(u64, u64, u64), CommError> {
+        let sums = x.sum3(a, b, c)?;
         x.span(Phase::Termination, self.level, self.t0);
-        Ok(out)
+        Ok(sums)
     }
 
     /// Steps 7–12: each rank's fold blocks. Top-down expands the
@@ -228,20 +277,42 @@ impl Meter {
             return Ok(blocks);
         }
         let fbar = match config.expand {
-            ExpandStrategy::Targeted => {
-                let sends = engine.map_mut(states, RankState::expand_sends_targeted);
-                x.alltoallv(OpClass::Expand, sends)?
-            }
+            ExpandStrategy::Targeted => return self.expand_discover(x, states, engine),
             ExpandStrategy::AllGatherRing => x.allgather_ring(frontiers(states))?,
             ExpandStrategy::TwoPhaseRing => x.two_phase_expand(frontiers(states))?,
         };
-        x.span(Phase::Expand, level, t_expand);
+        Ok(self.discover_received(x, states, engine, fbar, t_expand))
+    }
+
+    /// Targeted expand, then discover.
+    pub(crate) fn expand_discover<S: TopDown>(
+        &self,
+        x: &mut impl Exchange,
+        states: &mut [S],
+        engine: ComputeEngine,
+    ) -> Result<Vec<Vec<S::Payload>>, CommError> {
+        let t_expand = x.now();
+        let sends = engine.map_mut(states, S::expand_sends);
+        let fbar = x.alltoallv(OpClass::Expand, sends)?;
+        Ok(self.discover_received(x, states, engine, fbar, t_expand))
+    }
+
+    /// Close the expand span and discover along the received F̄.
+    fn discover_received<S: TopDown>(
+        &self,
+        x: &mut impl Exchange,
+        states: &mut [S],
+        engine: ComputeEngine,
+        fbar: Vec<Vec<S::Payload>>,
+        t_expand: f64,
+    ) -> Vec<Vec<S::Payload>> {
+        x.span(Phase::Expand, self.level, t_expand);
         // Zero-duration in the simulator: probes are charged with absorb.
         let t_discover = x.now();
-        let blocks = engine.zip_map(states, &fbar, |s, lists| s.discover(&slices(lists)));
-        fbar.into_iter().for_each(|lists| x.release(lists));
-        x.span(Phase::Discover, level, t_discover);
-        Ok(blocks)
+        let blocks = engine.zip_map(states, &fbar, |s, msgs| s.discover(msgs));
+        fbar.into_iter().for_each(|msgs| x.release(msgs));
+        x.span(Phase::Discover, self.level, t_discover);
+        blocks
     }
 
     /// Steps 13–21: fold each rank's blocks to their owners in its
@@ -256,27 +327,49 @@ impl Meter {
         next_level: u32,
     ) -> Result<(), CommError> {
         let t_fold = x.now();
-        let nbar = match config.fold {
+        let sets = match config.fold {
             FoldStrategy::DirectAllToAll => {
-                let grid = x.grid();
-                let sends = blocks.into_iter().zip(states.iter()).map(|(bs, s)| {
-                    let i = grid.row_of(s.rank_graph().rank);
-                    let to_peer = |(m, b)| (grid.rank_of(i, m), b);
-                    let nonempty = |(_, b): &(usize, Vec<Vert>)| !b.is_empty();
-                    bs.into_iter()
-                        .enumerate()
-                        .filter(nonempty)
-                        .map(to_peer)
-                        .collect()
-                });
-                FoldOut::PerSender(x.alltoallv(OpClass::Fold, sends.collect())?)
+                return self.fold_direct(x, states, config.engine, blocks, next_level)
             }
-            FoldStrategy::ReduceScatterUnion => FoldOut::Union(x.reduce_scatter_union(blocks)?),
-            FoldStrategy::TwoPhaseRing => FoldOut::Union(x.two_phase_fold(blocks)?),
+            FoldStrategy::ReduceScatterUnion => x.reduce_scatter_union(blocks)?,
+            FoldStrategy::TwoPhaseRing => x.two_phase_fold(blocks)?,
         };
         x.span(Phase::Fold, self.level, t_fold);
         self.t_absorb = x.now();
-        nbar.absorb(x, states, config.engine, next_level);
+        // One deduplicated set per rank: one absorb probe per element.
+        config
+            .engine
+            .zip_map(states, &sets, |s, set| s.absorb_set(set, next_level));
+        Ok(())
+    }
+
+    /// Direct all-to-all fold of block `m` to row peer `m`, then absorb
+    /// per sender (one probe per occurrence).
+    pub(crate) fn fold_direct<S: TopDown>(
+        &mut self,
+        x: &mut impl Exchange,
+        states: &mut [S],
+        engine: ComputeEngine,
+        blocks: Vec<Vec<S::Payload>>,
+        next_level: u32,
+    ) -> Result<(), CommError> {
+        let t_fold = x.now();
+        let grid = x.grid();
+        let sends = blocks.into_iter().zip(states.iter()).map(|(bs, s)| {
+            let i = grid.row_of(s.rank());
+            let to_peer = |(m, b)| (grid.rank_of(i, m), b);
+            let nonempty = |(_, b): &(usize, S::Payload)| !b.is_empty();
+            bs.into_iter()
+                .enumerate()
+                .filter(nonempty)
+                .map(to_peer)
+                .collect()
+        });
+        let nbar = x.alltoallv(OpClass::Fold, sends.collect())?;
+        x.span(Phase::Fold, self.level, t_fold);
+        self.t_absorb = x.now();
+        engine.zip_map(states, &nbar, |s, msgs| s.absorb(msgs, next_level));
+        nbar.into_iter().for_each(|msgs| x.release(msgs));
         Ok(())
     }
 
@@ -310,39 +403,9 @@ impl Meter {
     }
 }
 
-/// Per-rank fold output: one list per sender (direct all-to-all, one
-/// absorb probe per occurrence) or one deduplicated set (the union
-/// folds, one probe per element).
-enum FoldOut {
-    PerSender(Vec<Lists>),
-    Union(Vec<VertSet>),
-}
-
-impl FoldOut {
-    /// Steps 19–21: label the unlabeled received vertices with
-    /// `next_level`; they become each rank's new frontier.
-    fn absorb(
-        self,
-        x: &mut impl Exchange,
-        states: &mut [RankState<'_>],
-        engine: ComputeEngine,
-        next_level: u32,
-    ) {
-        match self {
-            Self::PerSender(lists) => {
-                engine.zip_map(states, &lists, |s, l| s.absorb(&slices(l), next_level));
-                lists.into_iter().for_each(|l| x.release(l));
-            }
-            Self::Union(sets) => {
-                engine.zip_map(states, &sets, |s, set| s.absorb_set(set, next_level));
-            }
-        }
-    }
-}
-
 /// Take every rank's probe count and charge it; returns the sum.
-pub(crate) fn charge_probes(x: &mut impl Exchange, states: &mut [RankState<'_>]) -> u64 {
-    let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
+pub(crate) fn charge_probes<S: TopDown>(x: &mut impl Exchange, states: &mut [S]) -> u64 {
+    let probes: Vec<u64> = states.iter_mut().map(S::take_probes).collect();
     x.charge_probes(&probes);
     probes.iter().sum()
 }
@@ -413,8 +476,4 @@ pub(crate) fn run(
 
 fn frontiers(states: &[RankState<'_>]) -> Lists {
     states.iter().map(|s| s.frontier.clone()).collect()
-}
-
-fn slices(lists: &[Vec<Vert>]) -> Vec<&[Vert]> {
-    lists.iter().map(Vec::as_slice).collect()
 }

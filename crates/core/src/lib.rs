@@ -73,7 +73,7 @@ pub use bfs2d::{BfsResult, ResilientBfsResult, ResilientConfig};
 pub use bidir::BidirResult;
 pub use config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
 pub use engine::ComputeEngine;
-pub use multi::{MultiBfsResult, MultiConfig, MultiRankState};
+pub use multi::{MultiBfsResult, MultiConfig};
 pub use parity::{GroupShard, ParityGroups};
 pub use path::{MultiPathConfig, MultiPathResult};
 pub use reference::UNREACHED;

@@ -21,9 +21,9 @@
 //! `O(distance)` rounds total, charged to the cost model like any other
 //! communication.
 
+use crate::bfs2d::control_exchange_with_retry;
 use crate::config::{check_inputs, Input};
 use crate::reference::UNREACHED;
-use bgl_comm::collectives::lane::lane_exchange;
 use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 use std::collections::BTreeMap;
@@ -32,7 +32,8 @@ use std::collections::BTreeMap;
 /// array produced by a BFS from `source`. Returns `None` when the
 /// target was not reached. The returned path starts at `source`, ends
 /// at `target`, and has `levels[target] + 1` vertices. Communication
-/// faults surface as typed errors.
+/// faults, and a level array not rooted at `source`, surface as typed
+/// errors.
 pub fn try_extract_path(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -45,17 +46,13 @@ pub fn try_extract_path(
         graph,
         &[
             Input::Grid(grid),
-            Input::Levels(levels),
             Input::Vertices(&[source, target]),
+            Input::Levels(levels, source),
         ],
     )?;
     if levels[target as usize] == UNREACHED {
         return Ok(None);
     }
-    debug_assert_eq!(
-        levels[source as usize], 0,
-        "levels must be rooted at source"
-    );
 
     let mut path = vec![target];
     let mut cur = target;
@@ -198,16 +195,12 @@ pub fn try_multi(
         graph,
         &[
             Input::Grid(grid),
-            Input::Levels(levels),
             Input::Width(targets.len()),
             Input::Vertices(&[source]),
             Input::Vertices(targets),
+            Input::Levels(levels, source),
         ],
     )?;
-    debug_assert_eq!(
-        levels[source as usize], 0,
-        "levels must be rooted at source"
-    );
 
     let t_start = world.time();
     let c_start = world.comm_time();
@@ -261,7 +254,8 @@ pub fn try_multi(
                 }
             })
             .collect();
-        let inboxes = lane_exchange_with_retry(world, assemble(announce), config.retry_attempts)?;
+        let inboxes =
+            control_exchange_with_retry(world, assemble(announce), config.retry_attempts)?;
         rounds += 1;
 
         // Round 2 (fold-shaped): column peers forward each queried
@@ -273,7 +267,7 @@ pub fn try_multi(
                 continue;
             }
             let mut queries = LaneSet::new();
-            for s in sets {
+            for (_, s) in sets {
                 queries.union_in(s);
             }
             let rg = &graph.ranks[rank];
@@ -287,7 +281,8 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes = lane_exchange_with_retry(world, assemble(forwards), config.retry_attempts)?;
+        let inboxes =
+            control_exchange_with_retry(world, assemble(forwards), config.retry_attempts)?;
         rounds += 1;
 
         // Round 3: owners keep candidates exactly one level below the
@@ -299,7 +294,7 @@ pub fn try_multi(
                 continue;
             }
             let mut cands = LaneSet::new();
-            for s in sets {
+            for (_, s) in sets {
                 cands.union_in(s);
             }
             let mut best: Vec<Option<Vert>> = vec![None; b];
@@ -324,7 +319,7 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes = lane_exchange_with_retry(world, assemble(replies), config.retry_attempts)?;
+        let inboxes = control_exchange_with_retry(world, assemble(replies), config.retry_attempts)?;
         rounds += 1;
 
         // Resolve every active lane's parent at its owner: the global
@@ -337,7 +332,7 @@ pub fn try_multi(
             let owner = graph.partition.owner_of(cur[l]);
             let parent = inboxes[owner]
                 .iter()
-                .flat_map(|s| s.iter())
+                .flat_map(|(_, s)| s.iter())
                 .filter(|&(_, m)| m & (1 << l) != 0)
                 .map(|(u, _)| u)
                 .min()
@@ -374,29 +369,6 @@ fn assemble(map: BTreeMap<(usize, usize), Vec<(Vert, LaneMask)>>) -> Vec<(usize,
     map.into_iter()
         .map(|((from, to), pairs)| (from, to, LaneSet::from_pairs(pairs)))
         .collect()
-}
-
-/// Lane-set twin of `bfs2d`'s control retry: transient failures charge
-/// exponential backoff and re-roll the control fault schedule; permanent
-/// errors propagate immediately.
-fn lane_exchange_with_retry(
-    world: &mut SimWorld,
-    sends: Vec<(usize, usize, LaneSet)>,
-    attempts: u32,
-) -> Result<Vec<Vec<LaneSet>>, CommError> {
-    let mut last = None;
-    for retry in 0..attempts.max(1) {
-        match lane_exchange(world, OpClass::Control, sends.clone()) {
-            Ok(inboxes) => return Ok(inboxes),
-            Err(e @ (CommError::Unreachable { .. } | CommError::Timeout { .. })) => {
-                world.charge_recovery_backoff(retry);
-                last = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // bgl-lint: allow(r1, reason = "attempts.max(1) guarantees the loop body ran and set `last` before falling through")
-    Err(last.expect("attempts >= 1 so at least one attempt ran"))
 }
 
 /// Validate that `path` is a genuine path in the graph described by

@@ -15,6 +15,7 @@
 //! * a hash-probe counter feeding the cost model (the paper profiles the
 //!   algorithm as spending "most of its time in a hashing function").
 
+use crate::level::TopDown;
 use crate::reference::UNREACHED;
 use bgl_comm::{ProcessorGrid, VertSet};
 use bgl_graph::{RankGraph, TwoDPartition, Vertex};
@@ -31,7 +32,7 @@ pub struct RankState<'g> {
     pub frontier: Vec<Vertex>,
     /// Sent-neighbors cache over row-local ids (empty when disabled).
     sent: Vec<bool>,
-    /// Hash probes performed since the last [`RankState::take_probes`].
+    /// Hash probes performed since the last [`TopDown::take_probes`].
     pub probes: u64,
     /// Stored adjacency entries whose row has not been emitted yet —
     /// the local share of Beamer's `m_u` (unexplored edge mass). Kept
@@ -88,97 +89,11 @@ impl<'g> RankState<'g> {
         })
     }
 
-    /// Build the **targeted** expand sends: for each frontier vertex,
-    /// one copy to each processor-column peer whose partial edge list
-    /// for it is non-empty (§2.2). Returns `(peer rank, vertices)` with
-    /// sorted vertex lists; includes a self entry when this rank stores
-    /// a list for its own vertex.
-    pub fn expand_sends_targeted(&mut self) -> Vec<(usize, Vec<Vertex>)> {
-        let (_, j) = self.grid.position_of(self.rg.rank);
-        let mut per_row: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.rows()];
-        for &v in &self.frontier {
-            let off = (v - self.rg.owned.start) as usize;
-            for &i2 in &self.rg.expand_targets[off] {
-                per_row[i2 as usize].push(v);
-            }
-        }
-        per_row
-            .into_iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(i2, list)| (self.grid.rank_of(i2, j), list))
-            .collect()
-    }
-
-    /// Process the received frontier F̄ and produce the fold blocks: for
-    /// each processor-row peer position `m` (grid column), the sorted,
-    /// deduplicated set of neighbor vertices owned by that peer.
-    ///
-    /// Hash probes counted: one per F̄ vertex (partial-edge-list lookup)
-    /// plus one per edge entry traversed (sent-neighbors lookup).
-    pub fn discover(&mut self, fbar_lists: &[&[Vertex]]) -> Vec<Vec<Vertex>> {
-        let cols = self.grid.cols();
-        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); cols];
-        for list in fbar_lists {
-            for &v in *list {
-                self.probes += 1;
-                let Some(ci) = self.rg.edges.col_local(v) else {
-                    continue;
-                };
-                for &u in self.rg.edges.neighbors_by_local(ci) {
-                    self.probes += 1;
-                    if !self.sent.is_empty() {
-                        let rl = self
-                            .rg
-                            .edges
-                            .row_local(u)
-                            .expect("edge-list vertex must be row-indexed"); // bgl-lint: allow(r1, reason = "CSR construction row-indexes every edge endpoint; a miss is a partitioning bug")
-                        if self.sent[rl as usize] {
-                            continue;
-                        }
-                        self.sent[rl as usize] = true;
-                        self.unexplored -= self.rg.edges.row_degree(rl) as u64;
-                    }
-                    blocks[self.partition.block_col_of(u)].push(u);
-                }
-            }
-        }
-        for b in blocks.iter_mut() {
-            b.sort_unstable();
-            b.dedup();
-        }
-        blocks
-    }
-
-    /// Absorb received neighbor sets: label unlabeled owned vertices with
-    /// `next_level` and make them the new frontier. Returns the number of
-    /// newly labeled vertices. One probe per received vertex (the owned
-    /// local-index lookup).
-    pub fn absorb(&mut self, nbar_lists: &[&[Vertex]], next_level: u32) -> u64 {
-        let mut fresh: Vec<Vertex> = Vec::new();
-        for list in nbar_lists {
-            for &v in *list {
-                self.probes += 1;
-                let off = self
-                    .rg
-                    .owned_local(v)
-                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
-                if self.levels[off] == UNREACHED {
-                    self.levels[off] = next_level;
-                    fresh.push(v);
-                }
-            }
-        }
-        fresh.sort_unstable();
-        self.frontier = fresh;
-        self.frontier.len() as u64
-    }
-
-    /// [`RankState::absorb`] for a single already-deduplicated
+    /// [`TopDown::absorb`] for a single already-deduplicated
     /// [`VertSet`] (the output of a union-fold). Probe accounting is
     /// identical — one probe per set element — and the set iterates in
     /// ascending order, so the resulting frontier equals the one
-    /// `absorb(&[&set.to_vec()], ..)` would produce, without the
+    /// `absorb(&[set.to_vec()], ..)` would produce, without the
     /// intermediate list materialization.
     pub fn absorb_set(&mut self, nbar: &VertSet, next_level: u32) -> u64 {
         let mut fresh: Vec<Vertex> = Vec::new();
@@ -202,7 +117,7 @@ impl<'g> RankState<'g> {
     /// stored columns, scan every not-yet-emitted stored *row* and ask
     /// whether any of its columns is in the (column-gathered) frontier,
     /// early-exiting on the first hit. Emits the same fold blocks as
-    /// [`RankState::discover`] would for this level — each block sorted
+    /// [`TopDown::discover`] would for this level — each block sorted
     /// and duplicate-free — because rows are visited in ascending id
     /// order and each row is emitted at most once.
     ///
@@ -270,15 +185,110 @@ impl<'g> RankState<'g> {
         self.unexplored
     }
 
-    /// Take and reset the probe counter (charged to the cost model once
-    /// per level).
-    pub fn take_probes(&mut self) -> u64 {
-        std::mem::take(&mut self.probes)
-    }
-
     /// Count of labeled owned vertices.
     pub fn reached(&self) -> u64 {
         self.levels.iter().filter(|&&l| l != UNREACHED).count() as u64
+    }
+}
+
+/// The single-source kernels: messages are sorted vertex lists.
+impl TopDown for RankState<'_> {
+    type Payload = Vec<Vertex>;
+
+    fn rank(&self) -> usize {
+        self.rg.rank
+    }
+
+    /// Build the **targeted** expand sends: for each frontier vertex,
+    /// one copy to each processor-column peer whose partial edge list
+    /// for it is non-empty (§2.2). Returns `(peer rank, vertices)` with
+    /// sorted vertex lists; includes a self entry when this rank stores
+    /// a list for its own vertex.
+    fn expand_sends(&mut self) -> Vec<(usize, Vec<Vertex>)> {
+        let (_, j) = self.grid.position_of(self.rg.rank);
+        let mut per_row: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.rows()];
+        for &v in &self.frontier {
+            let off = (v - self.rg.owned.start) as usize;
+            for &i2 in &self.rg.expand_targets[off] {
+                per_row[i2 as usize].push(v);
+            }
+        }
+        per_row
+            .into_iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(i2, list)| (self.grid.rank_of(i2, j), list))
+            .collect()
+    }
+
+    /// Process the received frontier F̄ and produce the fold blocks: for
+    /// each processor-row peer position `m` (grid column), the sorted,
+    /// deduplicated set of neighbor vertices owned by that peer.
+    ///
+    /// Hash probes counted: one per F̄ vertex (partial-edge-list lookup)
+    /// plus one per edge entry traversed (sent-neighbors lookup).
+    fn discover(&mut self, fbar_lists: &[Vec<Vertex>]) -> Vec<Vec<Vertex>> {
+        let cols = self.grid.cols();
+        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); cols];
+        for list in fbar_lists {
+            for &v in list {
+                self.probes += 1;
+                let Some(ci) = self.rg.edges.col_local(v) else {
+                    continue;
+                };
+                for &u in self.rg.edges.neighbors_by_local(ci) {
+                    self.probes += 1;
+                    if !self.sent.is_empty() {
+                        let rl = self
+                            .rg
+                            .edges
+                            .row_local(u)
+                            .expect("edge-list vertex must be row-indexed"); // bgl-lint: allow(r1, reason = "CSR construction row-indexes every edge endpoint; a miss is a partitioning bug")
+                        if self.sent[rl as usize] {
+                            continue;
+                        }
+                        self.sent[rl as usize] = true;
+                        self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+                    }
+                    blocks[self.partition.block_col_of(u)].push(u);
+                }
+            }
+        }
+        for b in blocks.iter_mut() {
+            b.sort_unstable();
+            b.dedup();
+        }
+        blocks
+    }
+
+    /// Absorb received neighbor sets: label unlabeled owned vertices with
+    /// `next_level` and make them the new frontier. Returns the number of
+    /// newly labeled vertices. One probe per received vertex (the owned
+    /// local-index lookup).
+    fn absorb(&mut self, nbar_lists: &[Vec<Vertex>], next_level: u32) -> u64 {
+        let mut fresh: Vec<Vertex> = Vec::new();
+        for list in nbar_lists {
+            for &v in list {
+                self.probes += 1;
+                let off = self
+                    .rg
+                    .owned_local(v)
+                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
+                if self.levels[off] == UNREACHED {
+                    self.levels[off] = next_level;
+                    fresh.push(v);
+                }
+            }
+        }
+        fresh.sort_unstable();
+        self.frontier = fresh;
+        self.frontier.len() as u64
+    }
+
+    /// Take and reset the probe counter (charged to the cost model once
+    /// per level).
+    fn take_probes(&mut self) -> u64 {
+        std::mem::take(&mut self.probes)
     }
 }
 
@@ -296,6 +306,7 @@ pub fn gather_levels(states: &[RankState<'_>], n: u64) -> Vec<u32> {
 mod tests {
     use super::*;
     use bgl_graph::{DistGraph, GraphSpec};
+    use std::slice;
 
     fn setup(r: usize, c: usize) -> DistGraph {
         DistGraph::build(GraphSpec::poisson(120, 5.0, 9), ProcessorGrid::new(r, c))
@@ -337,7 +348,7 @@ mod tests {
         let source = 10u64;
         let owner = g.partition.owner_of(source);
         sts[owner].init_source(source);
-        let sends = sts[owner].expand_sends_targeted();
+        let sends = sts[owner].expand_sends();
         // Each send goes to a column peer that really stores a list for v.
         for (peer, list) in &sends {
             assert_eq!(grid.col_of(*peer), grid.col_of(owner));
@@ -354,7 +365,7 @@ mod tests {
         let mut sts = states(&g, true);
         // Feed rank 0 a frontier list of every column it stores.
         let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
-        let blocks = sts[0].discover(&[&cols]);
+        let blocks = sts[0].discover(slice::from_ref(&cols));
         assert_eq!(blocks.len(), grid.cols());
         for (m, block) in blocks.iter().enumerate() {
             for &u in block {
@@ -373,16 +384,16 @@ mod tests {
         let g = setup(1, 2);
         let mut sts = states(&g, true);
         let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
-        let first = sts[0].discover(&[&cols]);
-        let second = sts[0].discover(&[&cols]);
+        let first = sts[0].discover(slice::from_ref(&cols));
+        let second = sts[0].discover(slice::from_ref(&cols));
         let count = |bs: &[Vec<Vertex>]| bs.iter().map(Vec::len).sum::<usize>();
         assert!(count(&first) > 0);
         assert_eq!(count(&second), 0, "resends must be suppressed");
 
         // Without the cache the same neighbors are produced again.
         let mut no_cache = states(&g, false);
-        let a = no_cache[0].discover(&[&cols]);
-        let b = no_cache[0].discover(&[&cols]);
+        let a = no_cache[0].discover(slice::from_ref(&cols));
+        let b = no_cache[0].discover(slice::from_ref(&cols));
         assert_eq!(a, b);
         assert_eq!(a, first, "first pass matches cached first pass");
     }
@@ -393,11 +404,11 @@ mod tests {
         let mut sts = states(&g, true);
         let range = g.ranks[0].owned.clone();
         let vs: Vec<Vertex> = range.clone().take(4).collect();
-        let newly = sts[0].absorb(&[&vs], 3);
+        let newly = sts[0].absorb(slice::from_ref(&vs), 3);
         assert_eq!(newly, 4);
         assert_eq!(sts[0].frontier, vs);
         // Absorbing again labels nothing new.
-        let again = sts[0].absorb(&[&vs], 4);
+        let again = sts[0].absorb(slice::from_ref(&vs), 4);
         assert_eq!(again, 0);
         assert!(sts[0].frontier.is_empty());
         for &v in &vs {
@@ -417,7 +428,7 @@ mod tests {
         }] {
             let mut by_list = states(&g, true);
             let mut by_set = states(&g, true);
-            let a = by_list[0].absorb(&[&vs], 2);
+            let a = by_list[0].absorb(slice::from_ref(&vs), 2);
             let b = by_set[0].absorb_set(&set, 2);
             assert_eq!(a, b);
             assert_eq!(by_list[0].levels, by_set[0].levels);
@@ -432,7 +443,7 @@ mod tests {
         let mut sts = states(&g, true);
         for st in sts.iter_mut() {
             let vs: Vec<Vertex> = st.rank_graph().owned.clone().collect();
-            st.absorb(&[&vs], 7);
+            st.absorb(slice::from_ref(&vs), 7);
         }
         let levels = gather_levels(&sts, g.spec.n);
         assert_eq!(levels.len(), 120);
@@ -456,11 +467,11 @@ mod tests {
                     break;
                 }
                 let f = td[0].frontier.clone();
-                let td_blocks = td[0].discover(&[&f]);
-                td[0].absorb(&[&td_blocks[0]], level);
+                let td_blocks = td[0].discover(slice::from_ref(&f));
+                td[0].absorb(slice::from_ref(&td_blocks[0]), level);
                 let fset = VertSet::from_sorted(bu[0].frontier.clone());
                 let bu_blocks = bu[0].discover_bottom_up(&fset);
-                bu[0].absorb(&[&bu_blocks[0]], level);
+                bu[0].absorb(slice::from_ref(&bu_blocks[0]), level);
                 assert_eq!(td[0].frontier, bu[0].frontier, "level {level}");
             }
             assert!(td[0].frontier.is_empty());
@@ -493,7 +504,7 @@ mod tests {
         let mut sts = states(&g, true);
         assert_eq!(sts[0].unexplored(), entries);
         let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
-        let blocks = sts[0].discover(&[&cols]);
+        let blocks = sts[0].discover(slice::from_ref(&cols));
         let emitted: u64 = blocks
             .iter()
             .flatten()
@@ -507,7 +518,7 @@ mod tests {
         // With the cache off the counter stays put (documented
         // over-estimate; the adaptive heuristic then never switches).
         let mut off = states(&g, false);
-        let _ = off[0].discover(&[&cols]);
+        let _ = off[0].discover(slice::from_ref(&cols));
         assert_eq!(off[0].unexplored(), entries);
     }
 
@@ -516,7 +527,7 @@ mod tests {
         let g = setup(2, 2);
         let mut sts = states(&g, true);
         let vs: Vec<Vertex> = g.ranks[0].owned.clone().take(6).collect();
-        sts[0].absorb(&[&vs], 1);
+        sts[0].absorb(slice::from_ref(&vs), 1);
         let expect: u64 = vs
             .iter()
             .map(|&v| g.ranks[0].edges.neighbors_of(v).len() as u64)
@@ -532,7 +543,7 @@ mod tests {
         let g = setup(1, 1);
         let mut sts = states(&g, true);
         let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
-        let _ = sts[0].discover(&[&cols]);
+        let _ = sts[0].discover(slice::from_ref(&cols));
         assert!(sts[0].probes > 0);
         let p = sts[0].take_probes();
         assert!(p > 0);

@@ -23,13 +23,14 @@
 //! assert.
 
 use crate::config::{check_inputs, BfsConfig, Input};
-use crate::level::{self, Exchange, Lists, Sends};
+use crate::level::{self, Exchange, Lists};
 use crate::reference::UNREACHED;
 use crate::state::RankState;
 use crate::stats::LevelDirection;
+use bgl_comm::collectives::alltoall::{unframe, SendList};
 use bgl_comm::threaded::{RankCtx, ThreadedWorld};
 use bgl_comm::{
-    CommError, FaultPlan, FaultStats, OpClass, Phase, ProcessorGrid, VertSet, VsetPolicy,
+    CommError, FaultPlan, FaultStats, OpClass, Payload, Phase, ProcessorGrid, VertSet, VsetPolicy,
     WireCount, WirePolicy,
 };
 use bgl_graph::{DistGraph, Vertex};
@@ -153,9 +154,15 @@ impl Exchange for RankCtx {
     fn sum3(&mut self, a: &[u64], b: &[u64], c: &[u64]) -> Result<(u64, u64, u64), CommError> {
         self.allreduce_sum3(a[0], b[0], c[0])
     }
-    fn alltoallv(&mut self, class: OpClass, sends: Vec<Sends>) -> Result<Vec<Lists>, CommError> {
-        let inbox = self.exchange(class, sends.into_iter().flatten().collect())?;
-        Ok(vec![inbox.into_iter().map(|(_, pl)| pl).collect()])
+    fn alltoallv<P: Payload>(
+        &mut self,
+        class: OpClass,
+        sends: Vec<SendList<P>>,
+    ) -> Result<Vec<Vec<P>>, CommError> {
+        let parts = sends.into_iter().flatten();
+        let parts = parts.flat_map(|(to, msg)| msg.into_parts().map(move |pl| (to, pl)));
+        let inbox: Vec<(usize, P)> = unframe(self.exchange(class, parts.collect())?);
+        Ok(vec![inbox.into_iter().map(|(_, msg)| msg).collect()])
     }
     /// An (R-1)-step neighbour ring within the processor column. Empty
     /// pieces are not sent: absence of a message is the empty piece,
@@ -182,8 +189,9 @@ impl Exchange for RankCtx {
         }
         Ok(vec![gathered])
     }
-    fn release(&mut self, payloads: Lists) {
-        payloads.into_iter().for_each(|pl| self.scratch_put(pl));
+    fn release<P: Payload>(&mut self, messages: Vec<P>) {
+        let parts = messages.into_iter().flat_map(P::into_parts);
+        parts.for_each(|pl| self.scratch_put(pl));
     }
 }
 

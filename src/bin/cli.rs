@@ -692,7 +692,6 @@ fn cmd_serve(flags: &Flags) {
         cache_capacity: flags.u64("cache-cap", 64) as usize,
         multi: multi::MultiConfig {
             engine: engine_from(flags),
-            ..multi::MultiConfig::default()
         },
         validate_batches: flags.has("validate"),
     };

@@ -193,7 +193,7 @@ fn golden_clocks_and_level_volumes_are_pinned() {
     let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
     let sources = [0, 17, 17, 999, 1_500];
     let batch = multi::try_run(&rmat, &mut world, &MultiConfig::default(), &sources).unwrap();
-    let pairs: Vec<u64> = batch.waves.iter().map(|w| w.frontier_pairs).collect();
+    let pairs: Vec<u64> = batch.waves.iter().map(|w| w.frontier).collect();
     let got = (
         [batch.sim_time, batch.comm_time].map(f64::to_bits),
         batch.total_probes,
@@ -212,7 +212,8 @@ fn golden_clocks_and_level_volumes_are_pinned() {
 }
 
 #[rustfmt::skip]
-const MULTI: ([u64; 2], u64, &[u64], u64) = ([0x3f4c844e52b0c5ac, 0x3f31445d70c34909], 27447, &[5, 525, 2545, 868, 25], 33725);
+const MULTI: ([u64; 2], u64, &[u64], u64) =
+    ([0x3f4c844e52b0c5ac, 0x3f31445d70c34909], 27447, &[5, 525, 2545, 868, 25], 33725);
 #[rustfmt::skip]
 const PATH_MULTI: (u64, u64, u32) = (0x3f24e1823561547e, 12, 4);
 

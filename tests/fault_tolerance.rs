@@ -422,6 +422,9 @@ fn bad_inputs_are_typed_errors_at_every_entry_point() {
     let w14 = || SimWorld::bluegene(ProcessorGrid::new(1, 4));
     let w1d = || SimWorld::bluegene(line.grid());
     let levels = &bfs2d::try_run(&g, &mut w(), c, 0).unwrap().levels;
+    // A level-2 source and a level-3 target: `levels` is rooted at 0.
+    let at = |l| levels.iter().position(|&x| x == l).unwrap() as u64;
+    let (s2, t3) = (at(2), at(3));
     let (mc, mp) = (&MultiConfig::default(), &MultiPathConfig::default());
     let rc = &ResilientConfig::default();
     let threaded = |source, config| {
@@ -432,7 +435,7 @@ fn bad_inputs_are_typed_errors_at_every_entry_point() {
     };
     // (entry point, what the reason must name, outcome)
     #[rustfmt::skip]
-    let cases: [(&str, &str, Result<(), CommError>); 15] = [
+    let cases: [(&str, &str, Result<(), CommError>); 17] = [
         ("bfs2d", "grids", bfs2d::try_run(&g, &mut w14(), c, 0).map(drop)),
         ("bfs2d", "vertex", bfs2d::try_run(&g, &mut w(), c, n).map(drop)),
         ("resilient", "vertex", bfs2d::run_resilient(&g, &mut w(), c, n, rc).map(drop)),
@@ -446,6 +449,8 @@ fn bad_inputs_are_typed_errors_at_every_entry_point() {
         ("path", "level array", path::try_extract_path(&g, &mut w(), &levels[1..], 0, 1).map(drop)),
         ("multipath", "width", path::try_multi(&g, &mut w(), levels, 0, &[0; 65], mp).map(drop)),
         ("multipath", "vertex", path::try_multi(&g, &mut w(), levels, 0, &[1, n], mp).map(drop)),
+        ("path", "rooted", path::try_extract_path(&g, &mut w(), levels, s2, t3).map(drop)),
+        ("multipath", "rooted", path::try_multi(&g, &mut w(), levels, s2, &[t3], mp).map(drop)),
         ("threaded", "vertex", threaded(n, &BfsConfig::baseline_alltoall())),
         ("threaded", "threaded runtime", threaded(0, c)),
     ];

@@ -71,7 +71,7 @@ proptest! {
     ) {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
-        let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
+        let cfg = multi::MultiConfig { engine };
         let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
         let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
         prop_assert_eq!(r.lanes(), srcs.len());
@@ -103,7 +103,7 @@ proptest! {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
         let run_with = |engine| {
-            let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
+            let cfg = multi::MultiConfig { engine };
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
             let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
             (r.lane_levels, world.time().to_bits(), r.total_probes)
