@@ -185,6 +185,9 @@ fn golden_clocks_and_level_volumes_are_pinned() {
     let graph = DistGraph::build(small, line);
     let one_d = bfs1d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
     assert_golden("bfs1d", &one_d.stats, BFS1D);
+    // Algorithm 1 is Algorithm 2 on a 1 x P grid (paper §2.2).
+    let one_row = bfs2d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
+    assert_golden("bfs2d_one_row", &one_row.stats, BFS1D);
 
     // Lane waves and the batched path walk, captured while lane waves
     // still ran their own level loop: clock bits, probes, per-wave
