@@ -4,7 +4,7 @@
 //! (These measure the *simulator's* real execution speed; the simulated
 //! BlueGene/L times come from the experiment binaries.)
 
-use bfs_core::{bfs1d, bfs2d, BfsConfig};
+use bfs_core::{bfs2d, BfsConfig};
 use bgl_comm::{ProcessorGrid, SimWorld};
 use bgl_graph::{DistGraph, GraphSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,28 +38,21 @@ fn bench_bfs_1d_vs_2d(c: &mut Criterion) {
     let mut group = c.benchmark_group("bfs_1d_vs_2d_p16");
     group.sample_size(20);
     let spec = GraphSpec::poisson(20_000, 10.0, 42);
-
-    let grid_1d = ProcessorGrid::one_d(16);
-    let graph_1d = DistGraph::build(spec, grid_1d);
-    group.bench_function("algorithm1_1d", |b| {
-        b.iter(|| {
-            let mut world = SimWorld::bluegene(grid_1d);
-            let r =
-                bfs1d::try_run(&graph_1d, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
-            black_box(r.stats.reached)
-        })
-    });
-
-    let grid_2d = ProcessorGrid::new(4, 4);
-    let graph_2d = DistGraph::build(spec, grid_2d);
-    group.bench_function("algorithm2_2d", |b| {
-        b.iter(|| {
-            let mut world = SimWorld::bluegene(grid_2d);
-            let r =
-                bfs2d::try_run(&graph_2d, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
-            black_box(r.stats.reached)
-        })
-    });
+    // Algorithm 1 is Algorithm 2 on a 1 x P grid (paper §2.2).
+    for (name, grid) in [
+        ("algorithm1_1d", ProcessorGrid::one_d(16)),
+        ("algorithm2_2d", ProcessorGrid::new(4, 4)),
+    ] {
+        let graph = DistGraph::build(spec, grid);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut world = SimWorld::bluegene(grid);
+                let r =
+                    bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
+                black_box(r.stats.reached)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -135,15 +135,7 @@ fn main() {
 
         // Batched: one wave, all targets as lanes, one shared world.
         let mut bworld = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let batched = path::try_multi(
-            &graph,
-            &mut bworld,
-            levels,
-            source,
-            &targets,
-            &path::MultiPathConfig::default(),
-        )
-        .unwrap();
+        let batched = path::try_multi(&graph, &mut bworld, levels, source, &targets).unwrap();
 
         // Sequential baseline: one fresh world per target, the
         // pre-batching serving cost of the same queries.

@@ -282,11 +282,6 @@ impl SimWorld {
         self.comm_time_by_class[OpClass::Control.index()] += elapsed;
     }
 
-    /// The fault plan in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Ranks currently dead (scheduled deaths that have fired).
     pub fn dead_ranks(&self) -> Vec<usize> {
         (0..self.dead.len()).filter(|&r| self.dead[r]).collect()
@@ -353,11 +348,6 @@ impl SimWorld {
     /// The cost model in effect.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The chunking policy in effect.
-    pub fn chunk_policy(&self) -> ChunkPolicy {
-        self.chunk
     }
 
     /// Total simulated elapsed time in seconds.
@@ -454,11 +444,6 @@ impl SimWorld {
 
     /// Override the hybrid vertex-set policy (e.g.
     /// [`VsetPolicy::list_only`] for A/B determinism checks).
-    pub fn set_vset_policy(&mut self, policy: VsetPolicy) {
-        self.vset_policy = policy;
-    }
-
-    /// Builder-style [`SimWorld::set_vset_policy`].
     pub fn with_vset_policy(mut self, policy: VsetPolicy) -> Self {
         self.vset_policy = policy;
         self
@@ -488,11 +473,6 @@ impl SimWorld {
     /// either way (the merge is serial and ordered).
     pub fn set_parallel_exchange(&mut self, on: bool) {
         self.parallel_sends = on;
-    }
-
-    /// Whether the parallel per-send precompute is on.
-    pub fn parallel_exchange(&self) -> bool {
-        self.parallel_sends
     }
 
     /// Take a scratch buffer from the per-world pool (cleared, capacity
@@ -896,15 +876,6 @@ impl SimWorld {
         }
     }
 
-    /// Charge a synchronous compute phase: elapsed time is the maximum of
-    /// the per-rank times.
-    pub fn compute_phase(&mut self, per_rank_seconds: &[f64]) {
-        debug_assert_eq!(per_rank_seconds.len(), self.p());
-        let elapsed = per_rank_seconds.iter().copied().fold(0.0f64, f64::max);
-        self.sim_time += elapsed;
-        self.compute_time += elapsed;
-    }
-
     /// Charge a compute phase expressed in hash probes per rank (the
     /// paper's dominant compute cost).
     pub fn hash_phase(&mut self, probes_per_rank: &[u64]) {
@@ -1112,15 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_phase_is_max() {
-        let mut w = world(2);
-        w.compute_phase(&[1.0, 3.0]);
-        assert_eq!(w.time(), 3.0);
-        assert_eq!(w.compute_time(), 3.0);
-        assert_eq!(w.comm_time(), 0.0);
-    }
-
-    #[test]
     fn hash_phase_uses_machine_rate() {
         let mut w = world(1);
         let rate = w.cost_model().machine().hash_rate;
@@ -1165,7 +1127,7 @@ mod tests {
     fn reset_clears_everything() {
         let mut w = world(4);
         w.exchange(OpClass::Fold, vec![(0, 1, vec![1])]).unwrap();
-        w.compute_phase(&[1.0; 4]);
+        w.hash_phase(&[1_000; 4]);
         w.reset();
         assert_eq!(w.time(), 0.0);
         assert_eq!(w.stats.total_received(), 0);

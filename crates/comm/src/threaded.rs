@@ -95,16 +95,10 @@ pub struct RankCtx {
     /// waiting for its packets.
     alive: Arc<Vec<AtomicBool>>,
     /// Data-exchange round counter driving the fault schedule. Control
-    /// traffic neither advances it nor suffers faults by default,
-    /// mirroring the simulator (BlueGene/L's separate reliable tree
+    /// traffic neither advances it nor suffers faults, mirroring the
+    /// simulator's default (BlueGene/L's separate reliable tree
     /// network).
     data_round: u64,
-    /// Opt control traffic in to the fault plan (see
-    /// [`SimWorld::set_control_faultable`](crate::SimWorld::set_control_faultable)).
-    control_faultable: bool,
-    /// Separate round counter for faultable control exchanges, so the
-    /// data-round fault schedule is never perturbed.
-    control_round: u64,
     /// Faults this rank injected on its sends (sender-side accounting;
     /// summing over ranks matches the simulator's world totals).
     pub faults: FaultStats,
@@ -134,24 +128,6 @@ impl RankCtx {
     /// The processor grid.
     pub fn grid(&self) -> ProcessorGrid {
         self.grid
-    }
-
-    /// The fault plan in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Opt [`OpClass::Control`] traffic in to the fault plan, mirroring
-    /// the simulator's faultable recovery channel. Control faults are
-    /// hashed off a separate round counter, so the data schedule (and
-    /// the sim/threaded schedule agreement) is untouched.
-    pub fn set_control_faultable(&mut self, on: bool) {
-        self.control_faultable = on;
-    }
-
-    /// Faultable control-exchange rounds performed so far.
-    pub fn control_round(&self) -> u64 {
-        self.control_round
     }
 
     /// Take a cleared payload buffer from this rank's scratch pool (a
@@ -246,15 +222,9 @@ impl RankCtx {
         sends: Vec<(usize, Vec<Vert>)>,
     ) -> Result<Vec<(usize, Vec<Vert>)>, CommError> {
         let p = self.grid.len();
-        let control = class == OpClass::Control;
-        let faultable = self.plan.is_active() && (!control || self.control_faultable);
+        let faultable = self.plan.is_active() && class != OpClass::Control;
         let mut fault_round = 0u64;
-        if faultable && control {
-            // Control faults draw from their own round counter;
-            // scheduled deaths stay a data-round phenomenon.
-            fault_round = self.control_round;
-            self.control_round += 1;
-        } else if faultable {
+        if faultable {
             fault_round = self.data_round;
             self.data_round += 1;
             if self.plan.has_deaths() {
@@ -623,8 +593,6 @@ impl ThreadedWorld {
                         plan,
                         alive,
                         data_round: 0,
-                        control_faultable: false,
-                        control_round: 0,
                         faults: FaultStats::default(),
                         scratch: ScratchPool::new(),
                         wire_policy: WirePolicy::raw(),

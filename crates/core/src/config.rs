@@ -52,73 +52,30 @@ pub enum DirectionMode {
     BottomUp,
 }
 
-/// Direction-optimization policy: mode plus the α/β switch thresholds.
-///
-/// The per-level decision is computed from three globally-allreduced
-/// `u64`s — frontier size `gf`, local-degree frontier mass `mf̂` (≈
-/// `m_f / R`), and unexplored stored entries `mû` — using pure integer
-/// arithmetic, so every rank (and both runtimes) makes the identical
-/// choice: go bottom-up iff `alpha · R · mf̂ > mû` **and**
-/// `beta · gf > n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirectionPolicy {
-    /// Direction mode.
-    pub mode: DirectionMode,
-    /// Top-down→bottom-up edge-mass threshold (Beamer's α; the frontier
-    /// must touch more than `mû / α` of the unexplored edges).
-    pub alpha: u64,
-    /// Frontier-size floor (Beamer's β reciprocal form: bottom-up only
-    /// while `gf > n / β`).
-    pub beta: u64,
-}
+/// Beamer's published top-down→bottom-up edge-mass threshold: the
+/// frontier must touch more than `mû / ALPHA` of the unexplored edges.
+const ALPHA: u64 = 14;
+/// Beamer's frontier-size floor in reciprocal form: bottom-up only
+/// while `gf > n / BETA`.
+const BETA: u64 = 24;
 
-impl DirectionPolicy {
-    /// Pure top-down (the default — preserves all existing runs).
-    pub fn top_down() -> Self {
-        Self {
-            mode: DirectionMode::TopDown,
-            alpha: 0,
-            beta: 0,
-        }
-    }
-
-    /// Adaptive switching with Beamer's published constants
-    /// (α = 14, β = 24).
-    pub fn adaptive() -> Self {
-        Self {
-            mode: DirectionMode::Adaptive,
-            alpha: 14,
-            beta: 24,
-        }
-    }
-
-    /// Force bottom-up on every non-empty level.
-    pub fn bottom_up() -> Self {
-        Self {
-            mode: DirectionMode::BottomUp,
-            ..Self::adaptive()
-        }
-    }
-
-    /// The switch decision, given the three allreduced global counts,
-    /// the graph's vertex count `n`, and the grid's row count `r`.
-    /// Integer-only, hence bit-reproducible across ranks and runtimes.
-    pub fn wants_bottom_up(&self, gf: u64, mf_hat: u64, mu_hat: u64, n: u64, r: u64) -> bool {
-        match self.mode {
+impl DirectionMode {
+    /// The switch decision, given the three globally-allreduced counts —
+    /// frontier size `gf`, local-degree frontier mass `mf̂` (≈ `m_f /
+    /// R`) and unexplored stored entries `mû` — the graph's vertex count
+    /// `n` and the grid's row count `r`. Adaptive goes bottom-up iff
+    /// `ALPHA · R · mf̂ > mû` **and** `BETA · gf > n`. Integer-only,
+    /// hence bit-reproducible across ranks and runtimes.
+    pub(crate) fn wants_bottom_up(self, gf: u64, mf_hat: u64, mu_hat: u64, n: u64, r: u64) -> bool {
+        match self {
             DirectionMode::TopDown => false,
             DirectionMode::BottomUp => gf > 0,
             DirectionMode::Adaptive => {
                 gf > 0
-                    && self.alpha.saturating_mul(r).saturating_mul(mf_hat) > mu_hat
-                    && self.beta.saturating_mul(gf) > n
+                    && ALPHA.saturating_mul(r).saturating_mul(mf_hat) > mu_hat
+                    && BETA.saturating_mul(gf) > n
             }
         }
-    }
-}
-
-impl Default for DirectionPolicy {
-    fn default() -> Self {
-        Self::top_down()
     }
 }
 
@@ -136,17 +93,15 @@ pub struct BfsConfig {
     /// target is labeled. `None` (or an unreachable target) traverses
     /// the whole component — the paper's Figure 6 worst case.
     pub target: Option<Vertex>,
-    /// Safety cap on levels (0 disables the cap).
-    pub max_levels: u32,
     /// How per-rank compute closures execute on the host (serial or
     /// rayon worker threads); never affects results or simulated time.
     #[serde(default)]
     pub engine: ComputeEngine,
-    /// Direction-optimization policy. Defaults to pure top-down, which
+    /// Traversal direction per level. Defaults to pure top-down, which
     /// keeps the single-word termination allreduce and every existing
     /// run bit-identical.
     #[serde(default)]
-    pub direction: DirectionPolicy,
+    pub direction: DirectionMode,
 }
 
 impl BfsConfig {
@@ -158,9 +113,8 @@ impl BfsConfig {
             fold: FoldStrategy::TwoPhaseRing,
             sent_neighbors: true,
             target: None,
-            max_levels: 0,
             engine: ComputeEngine::Auto,
-            direction: DirectionPolicy::top_down(),
+            direction: DirectionMode::TopDown,
         }
     }
 
@@ -172,9 +126,8 @@ impl BfsConfig {
             fold: FoldStrategy::DirectAllToAll,
             sent_neighbors: true,
             target: None,
-            max_levels: 0,
             engine: ComputeEngine::Auto,
-            direction: DirectionPolicy::top_down(),
+            direction: DirectionMode::TopDown,
         }
     }
 
@@ -184,7 +137,7 @@ impl BfsConfig {
     /// adaptive run's levels bit-equal to pure top-down.
     pub fn direction_optimized() -> Self {
         Self {
-            direction: DirectionPolicy::adaptive(),
+            direction: DirectionMode::Adaptive,
             ..Self::paper_optimized()
         }
     }
@@ -201,8 +154,8 @@ impl BfsConfig {
         self
     }
 
-    /// Set the direction-optimization policy.
-    pub fn with_direction(mut self, direction: DirectionPolicy) -> Self {
+    /// Set the traversal direction mode.
+    pub fn with_direction(mut self, direction: DirectionMode) -> Self {
         self.direction = direction;
         self
     }
@@ -227,8 +180,6 @@ pub(crate) enum Input<'a> {
     /// A batch width (sources or path targets) that must fit one lane
     /// mask.
     Width(usize),
-    /// Algorithm 1 runs on the `1 × P` layout only.
-    OneD,
     /// The threaded runtime carries targeted expand and direct
     /// all-to-all fold only.
     DirectExchange(&'a BfsConfig),
@@ -251,9 +202,6 @@ pub(crate) fn check_inputs(graph: &DistGraph, inputs: &[Input<'_>]) -> Result<()
                 "level array must be rooted at the source"
             }
             Input::Width(w) if !(1..=MAX_LANES).contains(&w) => "batch width must be in 1..=64",
-            Input::OneD if graph.grid().rows() != 1 => {
-                "Algorithm 1 requires the 1 x P (1D) processor layout"
-            }
             Input::DirectExchange(c)
                 if (c.expand, c.fold)
                     != (ExpandStrategy::Targeted, FoldStrategy::DirectAllToAll) =>
@@ -290,18 +238,17 @@ mod tests {
     fn default_direction_is_top_down() {
         // The serde default (what a pre-direction config deserializes
         // to) and the constructor default must both be pure top-down.
-        assert_eq!(BfsConfig::default().direction, DirectionPolicy::top_down());
-        assert_eq!(DirectionPolicy::default(), DirectionPolicy::top_down());
+        assert_eq!(BfsConfig::default().direction, DirectionMode::TopDown);
         assert_eq!(DirectionMode::default(), DirectionMode::TopDown);
         assert_eq!(
             BfsConfig::direction_optimized().direction,
-            DirectionPolicy::adaptive()
+            DirectionMode::Adaptive
         );
     }
 
     #[test]
     fn adaptive_decision_is_integer_and_thresholded() {
-        let p = DirectionPolicy::adaptive();
+        let p = DirectionMode::Adaptive;
         let (n, r) = (1000, 4);
         // Tiny frontier with little edge mass: stay top-down.
         assert!(!p.wants_bottom_up(2, 1, 100_000, n, r));
@@ -311,8 +258,8 @@ mod tests {
         // relative to n (β gate).
         assert!(!p.wants_bottom_up(10, 5_000, 20_000, n, r));
         // Empty frontier never goes bottom-up, in any mode.
-        assert!(!DirectionPolicy::bottom_up().wants_bottom_up(0, 0, 0, n, r));
-        assert!(DirectionPolicy::bottom_up().wants_bottom_up(1, 0, 0, n, r));
-        assert!(!DirectionPolicy::top_down().wants_bottom_up(300, 5_000, 0, n, r));
+        assert!(!DirectionMode::BottomUp.wants_bottom_up(0, 0, 0, n, r));
+        assert!(DirectionMode::BottomUp.wants_bottom_up(1, 0, 0, n, r));
+        assert!(!DirectionMode::TopDown.wants_bottom_up(300, 5_000, 0, n, r));
     }
 }

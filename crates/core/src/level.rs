@@ -18,7 +18,7 @@
 //! Bottom-up, the ring collectives and the union folds are
 //! `RankState`-only.
 
-use crate::config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
+use crate::config::{BfsConfig, DirectionMode, ExpandStrategy, FoldStrategy};
 use crate::engine::ComputeEngine;
 use crate::state::RankState;
 use crate::stats::{LevelDirection, LevelStats};
@@ -226,11 +226,11 @@ impl Meter {
         &self,
         x: &mut impl Exchange,
         states: &[RankState<'_>],
-        direction: &DirectionPolicy,
+        direction: DirectionMode,
         n: u64,
     ) -> Result<(u64, bool), CommError> {
         let sizes: Vec<u64> = states.iter().map(RankState::frontier_len).collect();
-        if direction.mode == DirectionMode::TopDown {
+        if direction == DirectionMode::TopDown {
             let gf = x.sum(&sizes)?;
             x.span(Phase::Termination, self.level, self.t0);
             return Ok((gf, false));
@@ -436,7 +436,7 @@ pub(crate) fn step(
     level: u32,
 ) -> Result<Option<(LevelStats, bool)>, CommError> {
     let mut meter = Meter::start(x, level);
-    let (frontier, bottom_up) = meter.terminate(x, states, &config.direction, n)?;
+    let (frontier, bottom_up) = meter.terminate(x, states, config.direction, n)?;
     if frontier == 0 {
         return Ok(None);
     }
@@ -449,9 +449,9 @@ pub(crate) fn step(
     Ok(Some((meter.finish(x, frontier, bottom_up, probes), hit)))
 }
 
-/// Levels until the frontier empties, the target is labeled or
-/// `config.max_levels` is reached; returns their records. (The 2D
-/// simulator search drives [`step`] itself, to checkpoint and recover.)
+/// Levels until the frontier empties or the target is labeled; returns
+/// their records. (The 2D simulator search drives [`step`] itself, to
+/// checkpoint and recover.)
 pub(crate) fn run(
     x: &mut impl Exchange,
     states: &mut [RankState<'_>],
@@ -460,9 +460,6 @@ pub(crate) fn run(
 ) -> Result<Vec<LevelStats>, CommError> {
     let mut records = Vec::new();
     for level in 0.. {
-        if config.max_levels > 0 && level >= config.max_levels {
-            break;
-        }
         let Some((record, hit)) = step(x, states, config, n, level)? else {
             break;
         };

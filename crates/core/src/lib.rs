@@ -6,14 +6,16 @@
 //! algorithms on the simulation substrate provided by `bgl-torus`,
 //! `bgl-comm`, and `bgl-graph`:
 //!
-//! * [`bfs1d`] — Algorithm 1, distributed BFS with 1D (vertex)
-//!   partitioning;
 //! * [`bfs2d`] — Algorithm 2, the 2D (edge) partitioning with *expand*
 //!   (processor-column) and *fold* (processor-row) collectives,
-//!   configurable across the paper's communication strategies; also
-//!   home of the fault-tolerant engine ([`bfs2d::run_resilient`]) that
-//!   survives lossy exchanges and rank deaths via level-synchronous
-//!   checkpoint/recover with bit-identical recovery;
+//!   configurable across the paper's communication strategies. On a
+//!   `1 × P` grid ([`bgl_comm::ProcessorGrid::one_d`]) expand moves
+//!   nothing and it is Algorithm 1, the 1D (vertex) partitioning
+//!   ("the conventional 1D partitioning is equivalent to the 2D
+//!   partitioning with R = 1", §2.2). Also home of the fault-tolerant
+//!   engine ([`bfs2d::run_resilient`]) that survives lossy exchanges
+//!   and rank deaths via level-synchronous checkpoint/recover with
+//!   bit-identical recovery;
 //! * [`bidir`] — the §2.3 bi-directional search;
 //! * [`theory`] — the §3.1 analytic message-length bounds (γ function)
 //!   and the Figure 6.b 1D/2D crossover-degree solver;
@@ -52,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bfs1d;
 pub mod bfs2d;
 pub mod bidir;
 pub mod config;
@@ -71,11 +72,11 @@ pub mod validate;
 
 pub use bfs2d::{BfsResult, ResilientBfsResult, ResilientConfig};
 pub use bidir::BidirResult;
-pub use config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
+pub use config::{BfsConfig, DirectionMode, ExpandStrategy, FoldStrategy};
 pub use engine::ComputeEngine;
 pub use multi::{MultiBfsResult, MultiConfig};
 pub use parity::{GroupShard, ParityGroups};
-pub use path::{MultiPathConfig, MultiPathResult};
+pub use path::MultiPathResult;
 pub use reference::UNREACHED;
 pub use stats::{LevelDirection, LevelStats, RunStats};
 pub use threaded_run::{run_threaded, ThreadedConfig};

@@ -126,19 +126,10 @@ pub fn try_extract_path(
     Ok(Some(path))
 }
 
-/// Knobs for the batched walk ([`try_multi`]).
-#[derive(Debug, Clone)]
-pub struct MultiPathConfig {
-    /// Control-exchange attempts per round before the transient error
-    /// propagates (each retry charges exponential recovery backoff).
-    pub retry_attempts: u32,
-}
-
-impl Default for MultiPathConfig {
-    fn default() -> Self {
-        MultiPathConfig { retry_attempts: 4 }
-    }
-}
+/// Control-exchange attempts per round of [`try_multi`] before the
+/// transient error propagates (each retry charges exponential recovery
+/// backoff).
+const RETRY_ATTEMPTS: u32 = 4;
 
 /// Outcome of one batched walk: per-lane paths plus the wave's shape
 /// and its clock deltas over the call.
@@ -188,7 +179,6 @@ pub fn try_multi(
     levels: &[u32],
     source: Vertex,
     targets: &[Vertex],
-    config: &MultiPathConfig,
 ) -> Result<MultiPathResult, CommError> {
     let grid = world.grid();
     check_inputs(
@@ -254,8 +244,7 @@ pub fn try_multi(
                 }
             })
             .collect();
-        let inboxes =
-            control_exchange_with_retry(world, assemble(announce), config.retry_attempts)?;
+        let inboxes = control_exchange_with_retry(world, assemble(announce), RETRY_ATTEMPTS)?;
         rounds += 1;
 
         // Round 2 (fold-shaped): column peers forward each queried
@@ -281,8 +270,7 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes =
-            control_exchange_with_retry(world, assemble(forwards), config.retry_attempts)?;
+        let inboxes = control_exchange_with_retry(world, assemble(forwards), RETRY_ATTEMPTS)?;
         rounds += 1;
 
         // Round 3: owners keep candidates exactly one level below the
@@ -319,7 +307,7 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes = control_exchange_with_retry(world, assemble(replies), config.retry_attempts)?;
+        let inboxes = control_exchange_with_retry(world, assemble(replies), RETRY_ATTEMPTS)?;
         rounds += 1;
 
         // Resolve every active lane's parent at its owner: the global
@@ -435,7 +423,7 @@ mod tests {
         levels: &[u32],
         targets: &[Vertex],
     ) -> MultiPathResult {
-        try_multi(g, w, levels, 0, targets, &MultiPathConfig::default()).unwrap()
+        try_multi(g, w, levels, 0, targets).unwrap()
     }
 
     #[test]
@@ -652,15 +640,8 @@ mod tests {
         let mut faulty = SimWorld::bluegene(grid)
             .with_fault_plan(plan)
             .with_faulty_control();
-        let got = try_multi(
-            &graph,
-            &mut faulty,
-            &levels,
-            0,
-            &targets,
-            &MultiPathConfig::default(),
-        )
-        .expect("retries ride out lossy control rounds");
+        let got = try_multi(&graph, &mut faulty, &levels, 0, &targets)
+            .expect("retries ride out lossy control rounds");
         assert_eq!(got.paths, want, "faults must not change extracted paths");
     }
 

@@ -9,8 +9,8 @@
 //! power examples that want actual parallelism.
 //!
 //! [`run_threaded`] takes the same [`BfsConfig`] as
-//! [`crate::bfs2d::try_run`] (sent-neighbors cache, direction policy,
-//! target, level cap). The runtime has exchanges for targeted expand
+//! [`crate::bfs2d::try_run`] (sent-neighbors cache, direction mode,
+//! target). The runtime has exchanges for targeted expand
 //! and direct all-to-all fold only; any other strategy returns
 //! [`CommError::InvalidConfig`] from every rank. A [`ThreadedConfig`]
 //! holds the runtime's own options: a [`FaultPlan`], a wire codec and
@@ -198,7 +198,7 @@ impl Exchange for RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DirectionPolicy;
+    use crate::config::DirectionMode;
     use crate::reference;
     use bgl_comm::{ProcessorGrid, SimWorld};
     use bgl_graph::GraphSpec;
@@ -357,7 +357,7 @@ mod tests {
         let grid = ProcessorGrid::new(3, 2);
         let graph = DistGraph::build(spec, grid);
         let config = BfsConfig {
-            direction: DirectionPolicy::adaptive(),
+            direction: DirectionMode::Adaptive,
             ..BfsConfig::baseline_alltoall()
         };
         let mut world = SimWorld::bluegene(grid);

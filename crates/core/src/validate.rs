@@ -29,6 +29,20 @@ use std::fmt;
 /// A proof obligation the labelling failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidationError {
+    /// The level array does not hold one label per vertex.
+    LevelCount {
+        /// Vertices in the graph.
+        expected: usize,
+        /// Labels in the array.
+        found: usize,
+    },
+    /// The source is not a vertex of the graph (`source ≥ n`).
+    SourceOutOfRange {
+        /// The claimed source.
+        source: Vertex,
+        /// Vertices in the graph.
+        n: usize,
+    },
     /// The source vertex is not labeled level 0.
     SourceLevel {
         /// The level the source actually carries.
@@ -76,6 +90,12 @@ pub enum ValidationError {
 impl fmt::Display for ValidationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
+            ValidationError::LevelCount { expected, found } => {
+                write!(f, "{found} level labels for {expected} vertices")
+            }
+            ValidationError::SourceOutOfRange { source, n } => {
+                write!(f, "source {source} is not a vertex (n = {n})")
+            }
             ValidationError::SourceLevel { found } => {
                 write!(f, "source is labeled level {found}, expected 0")
             }
@@ -121,13 +141,23 @@ pub struct ValidationReport {
 /// Validate `levels` as a BFS labelling of `adj` from `source`. See
 /// the module docs for the four invariants checked. `adj` must be the
 /// full (undirected) adjacency structure; `levels[v] == u32::MAX`
-/// means unreached.
+/// means unreached. A level array of the wrong length or a source
+/// outside the graph is an error, not a panic.
 pub fn validate_levels(
     adj: &[Vec<Vertex>],
     levels: &[u32],
     source: Vertex,
 ) -> Result<ValidationReport, ValidationError> {
-    assert_eq!(adj.len(), levels.len(), "levels must cover every vertex");
+    let n = adj.len();
+    if levels.len() != n {
+        return Err(ValidationError::LevelCount {
+            expected: n,
+            found: levels.len(),
+        });
+    }
+    if source >= n as u64 {
+        return Err(ValidationError::SourceOutOfRange { source, n });
+    }
     let s = source as usize;
     if levels[s] != 0 {
         return Err(ValidationError::SourceLevel { found: levels[s] });
@@ -297,6 +327,22 @@ mod tests {
         assert_eq!(
             validate_levels(&adj, &[1, 1, 2], 0),
             Err(ValidationError::SourceLevel { found: 1 })
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_input_without_panicking() {
+        let adj = path(3);
+        assert_eq!(
+            validate_levels(&adj, &[0, 1], 0),
+            Err(ValidationError::LevelCount {
+                expected: 3,
+                found: 2
+            })
+        );
+        assert_eq!(
+            validate_levels(&adj, &[0, 1, 2], 3),
+            Err(ValidationError::SourceOutOfRange { source: 3, n: 3 })
         );
     }
 

@@ -399,16 +399,9 @@ impl BglServer {
                     _ => unreachable!("walk groups hold only path queries"),
                 })
                 .collect();
-            let result = path::try_multi(
-                &self.graph,
-                &mut self.world,
-                levels,
-                source,
-                &targets,
-                &path::MultiPathConfig::default(),
-            )
-            // bgl-lint: allow(r1, reason = "only a world with a fault plan can fail a walk; the server has no fail-soft path yet")
-            .expect("batched path walk failed under a fault plan");
+            let result = path::try_multi(&self.graph, &mut self.world, levels, source, &targets)
+                // bgl-lint: allow(r1, reason = "only a world with a fault plan can fail a walk; the server has no fail-soft path yet")
+                .expect("batched path walk failed under a fault plan");
             self.stats.path_walks += 1;
             self.stats.path_walk_lanes += targets.len() as u64;
             self.stats.path_walk_hops += u64::from(result.hops);

@@ -22,8 +22,8 @@ use bgl_bfs::server::{ArrivalProcess, QueryMix};
 use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::trace::write_artifacts;
 use bgl_bfs::{
-    BfsConfig, BglServer, DirectionMode, DirectionPolicy, DistGraph, FaultPlan, GraphSpec,
-    ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
+    BfsConfig, BglServer, DirectionMode, DistGraph, FaultPlan, GraphSpec, ProcessorGrid,
+    ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -321,11 +321,11 @@ fn engine_from(flags: &Flags) -> ComputeEngine {
     }
 }
 
-fn direction_from(flags: &Flags) -> DirectionPolicy {
+fn direction_from(flags: &Flags) -> DirectionMode {
     match flags.0.get("direction").map(String::as_str) {
-        None | Some("off") | Some("top-down") => DirectionPolicy::top_down(),
-        Some("adaptive") => DirectionPolicy::adaptive(),
-        Some("bottom-up") => DirectionPolicy::bottom_up(),
+        None | Some("off") | Some("top-down") => DirectionMode::TopDown,
+        Some("adaptive") => DirectionMode::Adaptive,
+        Some("bottom-up") => DirectionMode::BottomUp,
         Some(other) => panic!("--direction: {other:?} (expected off, adaptive, or bottom-up)"),
     }
 }
@@ -592,11 +592,11 @@ fn cmd_search(flags: &Flags) {
             so.pool_high_water_verts
         );
     }
-    if direction.mode != DirectionMode::TopDown {
+    if direction != DirectionMode::TopDown {
         let (td, bu) = r.stats.direction_split();
         println!(
             "direction ({}): {td} top-down / {bu} bottom-up levels, {} hash probes total",
-            match direction.mode {
+            match direction {
                 DirectionMode::Adaptive => "adaptive",
                 DirectionMode::BottomUp => "bottom-up",
                 DirectionMode::TopDown => unreachable!(),
@@ -604,7 +604,7 @@ fn cmd_search(flags: &Flags) {
             r.stats.total_probes()
         );
     }
-    if flags.has("levels") || direction.mode != DirectionMode::TopDown {
+    if flags.has("levels") || direction != DirectionMode::TopDown {
         print_level_table(&r.stats);
     }
     if flags.has("validate") {
@@ -640,9 +640,8 @@ fn cmd_path(flags: &Flags) {
         // Batched lane wave: every target shares each per-hop control
         // round of the walk.
         let targets = targets_from(list, spec.n).expect("checked by flag_error");
-        let config = path::MultiPathConfig::default();
-        let batched = path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config)
-            .expect(fault_free);
+        let batched =
+            path::try_multi(&graph, &mut world, &r.levels, source, &targets).expect(fault_free);
         println!(
             "batched walk: {} lanes, {} hops, {} control rounds, {:.3} ms sim",
             targets.len(),
@@ -970,18 +969,18 @@ mod tests {
 
     #[test]
     fn direction_flag_parses() {
-        assert_eq!(direction_from(&flags("")), DirectionPolicy::top_down());
+        assert_eq!(direction_from(&flags("")), DirectionMode::TopDown);
         assert_eq!(
             direction_from(&flags("--direction off")),
-            DirectionPolicy::top_down()
+            DirectionMode::TopDown
         );
         assert_eq!(
             direction_from(&flags("--direction adaptive")),
-            DirectionPolicy::adaptive()
+            DirectionMode::Adaptive
         );
         assert_eq!(
             direction_from(&flags("--direction bottom-up")),
-            DirectionPolicy::bottom_up()
+            DirectionMode::BottomUp
         );
     }
 

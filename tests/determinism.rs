@@ -139,7 +139,7 @@ fn assert_golden(case: &str, stats: &bgl_bfs::core::RunStats, (clocks, levels): 
 #[test]
 fn golden_clocks_and_level_volumes_are_pinned() {
     use bgl_bfs::comm::{FaultPlan, WirePolicy};
-    use bgl_bfs::core::{bfs1d, bidir, multi, path, MultiConfig, MultiPathConfig, ResilientConfig};
+    use bgl_bfs::core::{bidir, multi, path, MultiConfig, ResilientConfig};
 
     let grid = ProcessorGrid::new(3, 3);
     let graph = DistGraph::build(GraphSpec::poisson(1_200, 8.0, 7), grid);
@@ -183,8 +183,6 @@ fn golden_clocks_and_level_volumes_are_pinned() {
 
     let line = ProcessorGrid::one_d(6);
     let graph = DistGraph::build(small, line);
-    let one_d = bfs1d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
-    assert_golden("bfs1d", &one_d.stats, BFS1D);
     // Algorithm 1 is Algorithm 2 on a 1 x P grid (paper §2.2).
     let one_row = bfs2d::try_run(&graph, &mut SimWorld::bluegene(line), &config, 3).unwrap();
     assert_golden("bfs2d_one_row", &one_row.stats, BFS1D);
@@ -208,8 +206,7 @@ fn golden_clocks_and_level_volumes_are_pinned() {
     let levels = &batch.lane_levels[0];
     let targets = [370, 183, 313, 17, 1_234, 3, 0, 1_999];
     let mut world = SimWorld::bluegene(grid);
-    let cfg = MultiPathConfig::default();
-    let walk = path::try_multi(&rmat, &mut world, levels, 0, &targets, &cfg).unwrap();
+    let walk = path::try_multi(&rmat, &mut world, levels, 0, &targets).unwrap();
     let got = (walk.sim_time.to_bits(), walk.rounds, walk.hops);
     assert_eq!(got, PATH_MULTI, "path: clock bits or rounds moved");
 }

@@ -6,7 +6,7 @@
 use bgl_bfs::comm::FaultPlan;
 use bgl_bfs::core::{bfs2d, threaded_run, validate, ComputeEngine, LevelDirection, ThreadedConfig};
 use bgl_bfs::{
-    BfsConfig, DirectionPolicy, DistGraph, GraphSpec, ProcessorGrid, ResilientConfig, SimWorld,
+    BfsConfig, DirectionMode, DistGraph, GraphSpec, ProcessorGrid, ResilientConfig, SimWorld,
     WireMode, WirePolicy,
 };
 use proptest::prelude::*;
@@ -107,7 +107,7 @@ proptest! {
         let spec = GraphSpec::poisson(n, k as f64, seed);
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
-        let run = |direction: DirectionPolicy| {
+        let run = |direction: DirectionMode| {
             let config = BfsConfig {
                 sent_neighbors: sent,
                 ..BfsConfig::paper_optimized()
@@ -116,9 +116,9 @@ proptest! {
             let mut world = SimWorld::bluegene(grid);
             bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
         };
-        let td = run(DirectionPolicy::top_down());
-        let bu = run(DirectionPolicy::bottom_up());
-        let adaptive = run(DirectionPolicy::adaptive());
+        let td = run(DirectionMode::TopDown);
+        let bu = run(DirectionMode::BottomUp);
+        let adaptive = run(DirectionMode::Adaptive);
         prop_assert_eq!(&td.levels, &bu.levels);
         prop_assert_eq!(&td.levels, &adaptive.levels);
     }
@@ -139,7 +139,7 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let config = BfsConfig::baseline_alltoall().with_direction(DirectionPolicy::adaptive());
+        let config = BfsConfig::baseline_alltoall().with_direction(DirectionMode::Adaptive);
         let runtime = ThreadedConfig {
             wire: WirePolicy::auto(),
             ..ThreadedConfig::default()

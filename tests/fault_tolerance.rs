@@ -408,24 +408,22 @@ fn recovery_traffic_pays_for_faults_on_the_control_channel() {
 /// Bad inputs to every public search entry point come back as a typed
 /// `InvalidConfig` with the reason named, never as a panic: grid
 /// mismatch, vertex ≥ n, a level array of the wrong length, a batch
-/// width outside 1..=64, a non-1×P grid for Algorithm 1, and a strategy
-/// the threaded runtime has no exchange for (refused by every rank).
+/// width outside 1..=64, and a strategy the threaded runtime has no
+/// exchange for (refused by every rank).
 #[test]
 fn bad_inputs_are_typed_errors_at_every_entry_point() {
-    use bgl_bfs::core::{bfs1d, bidir, multi, path, MultiConfig, MultiPathConfig};
+    use bgl_bfs::core::{bidir, multi, path, MultiConfig};
     let spec = GraphSpec::poisson(200, 5.0, 3);
     let grid = ProcessorGrid::new(2, 2);
     let g = DistGraph::build(spec, grid);
-    let line = DistGraph::build(spec, ProcessorGrid::one_d(4));
     let (c, n) = (&BfsConfig::default(), spec.n);
     let w = || SimWorld::bluegene(grid);
     let w14 = || SimWorld::bluegene(ProcessorGrid::new(1, 4));
-    let w1d = || SimWorld::bluegene(line.grid());
     let levels = &bfs2d::try_run(&g, &mut w(), c, 0).unwrap().levels;
     // A level-2 source and a level-3 target: `levels` is rooted at 0.
     let at = |l| levels.iter().position(|&x| x == l).unwrap() as u64;
     let (s2, t3) = (at(2), at(3));
-    let (mc, mp) = (&MultiConfig::default(), &MultiPathConfig::default());
+    let mc = &MultiConfig::default();
     let rc = &ResilientConfig::default();
     let threaded = |source, config| {
         let outs = threaded_run::run_threaded(&g, source, config, &ThreadedConfig::default());
@@ -435,22 +433,20 @@ fn bad_inputs_are_typed_errors_at_every_entry_point() {
     };
     // (entry point, what the reason must name, outcome)
     #[rustfmt::skip]
-    let cases: [(&str, &str, Result<(), CommError>); 17] = [
+    let cases: [(&str, &str, Result<(), CommError>); 15] = [
         ("bfs2d", "grids", bfs2d::try_run(&g, &mut w14(), c, 0).map(drop)),
         ("bfs2d", "vertex", bfs2d::try_run(&g, &mut w(), c, n).map(drop)),
         ("resilient", "vertex", bfs2d::run_resilient(&g, &mut w(), c, n, rc).map(drop)),
-        ("bfs1d", "1 x P", bfs1d::try_run(&g, &mut w(), c, 0).map(drop)),
-        ("bfs1d", "vertex", bfs1d::try_run(&line, &mut w1d(), c, n).map(drop)),
         ("bidir", "vertex", bidir::try_run(&g, &mut w(), c, 0, n).map(drop)),
         ("multi", "width", multi::try_run(&g, &mut w(), mc, &[]).map(drop)),
         ("multi", "width", multi::try_run(&g, &mut w(), mc, &[0; 65]).map(drop)),
         ("multi", "vertex", multi::try_run(&g, &mut w(), mc, &[1, n]).map(drop)),
         ("path", "vertex", path::try_extract_path(&g, &mut w(), levels, 0, n).map(drop)),
         ("path", "level array", path::try_extract_path(&g, &mut w(), &levels[1..], 0, 1).map(drop)),
-        ("multipath", "width", path::try_multi(&g, &mut w(), levels, 0, &[0; 65], mp).map(drop)),
-        ("multipath", "vertex", path::try_multi(&g, &mut w(), levels, 0, &[1, n], mp).map(drop)),
+        ("multipath", "width", path::try_multi(&g, &mut w(), levels, 0, &[0; 65]).map(drop)),
+        ("multipath", "vertex", path::try_multi(&g, &mut w(), levels, 0, &[1, n]).map(drop)),
         ("path", "rooted", path::try_extract_path(&g, &mut w(), levels, s2, t3).map(drop)),
-        ("multipath", "rooted", path::try_multi(&g, &mut w(), levels, s2, &[t3], mp).map(drop)),
+        ("multipath", "rooted", path::try_multi(&g, &mut w(), levels, s2, &[t3]).map(drop)),
         ("threaded", "vertex", threaded(n, &BfsConfig::baseline_alltoall())),
         ("threaded", "threaded runtime", threaded(0, c)),
     ];
